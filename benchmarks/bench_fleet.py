@@ -1,9 +1,9 @@
-"""Benchmark: fleet throughput -- serial, sharded, and vectorized.
+"""Benchmark: fleet throughput -- serial, vectorized, and pooled.
 
-The fleet engine's pitch is device scaling: N independent devices shard
-across worker processes, and same-class devices batch through the
-memoizing vector executor, which replays equivalent activations instead
-of stepping them.  This benchmark times the same fleet all ways and, run
+The fleet engine's pitch is device scaling: same-class devices batch
+through the memoizing vector executor, which replays equivalent
+activations instead of stepping them, and its worker pool deals devices
+across processes.  This benchmark times the same fleet all ways and, run
 as a script, records devices/second in ``BENCH_fleet.json`` at the repo
 root so the scaling trajectory is tracked alongside the code::
 
@@ -13,10 +13,11 @@ root so the scaling trajectory is tracked alongside the code::
 
 Four tiers:
 
-* **heterogeneous** -- the classic serial-vs-sharded comparison on a
-  mixed 3-class fleet (parity enforced everywhere; the sharding speedup
-  is gated only on multi-core hosts, where there is something to win --
-  the record carries the gate decision and its reason);
+* **heterogeneous** -- serial, in-process vector, and vector on a
+  two-worker pool (``--jobs 2``) over a mixed 3-class fleet (parity
+  enforced everywhere; the pool's speedup over in-process is gated only
+  on multi-core hosts, where there is something to win -- the record
+  carries the gate decision and its reason);
 * **memo** -- a homogeneous fleet (one device class, deterministic
   supply randomness) through the vector executor, recording the memo
   hit rate and devices/second against a serial baseline measured on a
@@ -54,7 +55,6 @@ from repro.fleet import (
     DeviceClass,
     FleetSpec,
     SerialFleetExecutor,
-    ShardedFleetExecutor,
     VectorFleetExecutor,
     aggregate_fingerprint,
     precompile_fleet,
@@ -63,6 +63,9 @@ from repro.fleet import (
 from repro.telemetry import MetricsRegistry, absorb_fleet
 
 RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
+
+#: Worker processes for the pooled leg (the CLI's ``--jobs 2``).
+POOL_PROCESSES = 2
 
 
 def bench_spec(devices: int = 240, budget: int = 25_000) -> FleetSpec:
@@ -166,12 +169,12 @@ def _slow(fn):
 
 
 @_slow
-def test_fleet_sharded(benchmark):
+def test_fleet_vector_pool(benchmark):
     spec = bench_spec(devices=120, budget=15_000)
     precompile_fleet(spec)  # forked workers inherit warm builds
     result = benchmark.pedantic(
         run_fleet,
-        args=(spec, ShardedFleetExecutor()),
+        args=(spec, VectorFleetExecutor(processes=POOL_PROCESSES)),
         rounds=3,
         iterations=1,
     )
@@ -179,8 +182,9 @@ def test_fleet_sharded(benchmark):
 
 
 def measure(devices: int = 240, budget: int = 25_000, rounds: int = 3) -> dict:
-    """Serial vs. sharded fleet throughput, best-of-``rounds``.
+    """Serial vs. vector in-process vs. vector pooled, best-of-``rounds``.
 
+    Every leg uses a fresh executor, so the vector legs start cold.
     Legs are timed through a :class:`MetricsRegistry` -- the same
     machinery behind the CLI's ``--metrics-out`` -- so this record and
     the metrics schema agree on field names; the final serial run is
@@ -191,21 +195,28 @@ def measure(devices: int = 240, budget: int = 25_000, rounds: int = 3) -> dict:
 
     registry = MetricsRegistry()
     serial = None
-    serial_fp = sharded_fp = None
+    fingerprints = set()
     for _ in range(rounds):
         with registry.timer("bench.fleet.serial.seconds"):
             serial = run_fleet(spec, SerialFleetExecutor())
-        serial_fp = aggregate_fingerprint(serial)
+        fingerprints.add(aggregate_fingerprint(serial))
 
-        with registry.timer("bench.fleet.sharded.seconds"):
-            sharded = run_fleet(spec, ShardedFleetExecutor())
-        sharded_fp = aggregate_fingerprint(sharded)
+        with registry.timer("bench.fleet.vector.seconds"):
+            vector = run_fleet(spec, VectorFleetExecutor())
+        fingerprints.add(aggregate_fingerprint(vector))
 
-    assert serial_fp == sharded_fp, "serial and sharded aggregates differ"
+        with registry.timer("bench.fleet.pool.seconds"):
+            pooled = run_fleet(
+                spec, VectorFleetExecutor(processes=POOL_PROCESSES)
+            )
+        fingerprints.add(aggregate_fingerprint(pooled))
+
+    assert len(fingerprints) == 1, "serial, vector and pooled aggregates differ"
     absorb_fleet(registry, serial)
     histograms = registry.to_dict()["histograms"]
     serial_s = histograms["bench.fleet.serial.seconds"]["min"]
-    sharded_s = histograms["bench.fleet.sharded.seconds"]["min"]
+    vector_s = histograms["bench.fleet.vector.seconds"]["min"]
+    pool_s = histograms["bench.fleet.pool.seconds"]["min"]
     return {
         "benchmark": "fleet-throughput",
         "spec": {
@@ -216,11 +227,15 @@ def measure(devices: int = 240, budget: int = 25_000, rounds: int = 3) -> dict:
         },
         "rounds": rounds,
         "cores": os.cpu_count() or 1,
+        "pool_processes": POOL_PROCESSES,
+        "pool_used": pooled.executor_used,
         "serial_seconds": round(serial_s, 4),
-        "sharded_seconds": round(sharded_s, 4),
+        "vector_seconds": round(vector_s, 4),
+        "pool_seconds": round(pool_s, 4),
         "serial_devices_per_second": round(devices / serial_s, 2),
-        "sharded_devices_per_second": round(devices / sharded_s, 2),
-        "sharding_speedup": round(serial_s / sharded_s, 3),
+        "vector_devices_per_second": round(devices / vector_s, 2),
+        "pool_devices_per_second": round(devices / pool_s, 2),
+        "pool_speedup": round(vector_s / pool_s, 3),
         "metrics": registry.to_dict(command="bench_fleet"),
     }
 
@@ -352,25 +367,26 @@ def measure_persistent_tier(devices: int = 500, budget: int = 25_000) -> dict:
     }
 
 
-def sharding_gate(record: dict) -> dict:
-    """The sharded-speedup gate decision for ``record``, with its reason.
+def pool_gate(record: dict) -> dict:
+    """The pool-speedup gate decision for ``record``, with its reason.
 
-    On a single-core host the sharded executor falls back to the serial
-    path, so ``sharding_speedup ~= 1.0`` is expected behavior, not a
-    regression -- the assertion is skipped and the record says why.
+    On a single-core host two workers share one core, so
+    ``pool_speedup <= 1.0`` is expected behavior, not a regression --
+    the assertion is skipped and the record says why.
     """
     cores = record["cores"]
     if cores < 2:
         return {
             "cores": cores,
             "gated": False,
-            "reason": "single core: sharding has nothing to win; "
+            "reason": "single core: the pool has nothing to win; "
             "speedup reported but not asserted",
         }
     return {
         "cores": cores,
         "gated": True,
-        "reason": f"multi-core host ({cores} cores): speedup must exceed 1.0",
+        "reason": f"multi-core host ({cores} cores): the "
+        f"{POOL_PROCESSES}-worker pool must beat in-process vector",
     }
 
 
@@ -379,14 +395,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI gate: >=200 devices, parity always, speedup on multi-core, "
-        "vector >=10x serial on a homogeneous fleet",
+        help="CI gate: >=200 devices, parity always, pool speedup on "
+        "multi-core, vector >=10x serial on a homogeneous fleet",
     )
     args = parser.parse_args(argv)
 
     if args.quick:
         record = measure(devices=200, budget=20_000, rounds=1)
-        record["sharding_gate"] = sharding_gate(record)
+        record["pool_gate"] = pool_gate(record)
         record["memo_tier"] = measure_memo_tier(
             devices=2_000, budget=20_000, serial_sample=100
         )
@@ -419,20 +435,20 @@ def main(argv: list[str] | None = None) -> int:
             f"(hit rate {record['persistent_tier']['cold_hit_rate']} cold "
             f"-> {record['persistent_tier']['warm_hit_rate']} warm)"
         )
-        gate = record["sharding_gate"]
-        speedup = record["sharding_speedup"]
+        gate = record["pool_gate"]
+        speedup = record["pool_speedup"]
         if not gate["gated"]:
-            print(f"note: sharding gate skipped -- {gate['reason']} "
+            print(f"note: pool gate skipped -- {gate['reason']} "
                   f"(speedup {speedup}x)")
             return 0
         if speedup <= 1.0:
-            print(f"FAIL: sharding no faster than serial ({speedup=})")
+            print(f"FAIL: vector pool no faster than in-process ({speedup=})")
             return 1
-        print(f"ok: sharding speedup {speedup}x on {record['cores']} cores")
+        print(f"ok: vector pool speedup {speedup}x on {record['cores']} cores")
         return 0
 
     record = measure()
-    record["sharding_gate"] = sharding_gate(record)
+    record["pool_gate"] = pool_gate(record)
     record["memo_tier"] = measure_memo_tier(devices=500_000)
     record["jittered_tier"] = measure_jittered_tier(devices=2_000)
     record["persistent_tier"] = measure_persistent_tier(devices=500)

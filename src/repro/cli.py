@@ -515,19 +515,10 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             spec = spec.with_total_devices(args.devices)
     except FleetError as exc:
         raise SystemExit(f"bad fleet spec '{args.spec}': {exc}") from None
-    if args.executor is not None:
-        if args.parallel and args.executor != "sharded":
-            raise SystemExit(
-                f"--parallel conflicts with --executor {args.executor}; "
-                "pick one"
-            )
-        executor = args.executor
-    else:
-        executor = "sharded" if args.parallel else "serial"
     try:
         result = run_fleet(
             spec,
-            executor,
+            args.executor,
             processes=args.jobs,
             checkpoint_path=args.checkpoint,
             checkpoint_every=args.checkpoint_every,
@@ -865,23 +856,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fleet.add_argument(
         "--executor",
-        choices=("serial", "sharded", "vector"),
-        default=None,
+        choices=("serial", "vector"),
+        default="serial",
         help="fleet executor (vector = memoized batch execution; "
-        "all three produce bit-identical aggregates)",
-    )
-    p_fleet.add_argument(
-        "--parallel",
-        action="store_true",
-        help="use the sharded multiprocessing executor "
-        "(shorthand for --executor sharded)",
+        "both produce bit-identical aggregates)",
     )
     p_fleet.add_argument(
         "--jobs",
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for --parallel (default: one per core)",
+        help="worker processes for --executor vector (default: in-process)",
     )
     p_fleet.add_argument(
         "--checkpoint",

@@ -13,13 +13,12 @@ simulation:
 * :mod:`repro.fleet.aggregate` -- streaming, mergeable, byte-deterministic
   aggregates (violation rates, staleness/consistency histograms, duty
   cycles) that never materialize per-activation results;
-* :mod:`repro.fleet.engine` -- serial and sharded-multiprocessing
-  executors with bit-identical aggregates, plus checkpoint/resume so long
-  runs split across invocations;
+* :mod:`repro.fleet.engine` -- the serial reference executor, plus
+  checkpoint/resume so long runs split across invocations;
 * :mod:`repro.fleet.vector` -- the vectorized executor: activation
   memoization with quantized supply keys, cohort wave batching over
-  same-class devices, and a batched miss driver, still bit-identical to
-  the serial path;
+  same-class devices, a batched miss driver, and an optional fork pool
+  (``--jobs N``), still bit-identical to the serial path;
 * :mod:`repro.fleet.memostore` -- content-addressed on-disk persistence
   for the activation memo (``--memo-dir``), so re-runs start warm;
 * :mod:`repro.fleet.report` -- tables and parity fingerprints.
@@ -34,7 +33,6 @@ from repro.fleet.engine import (
     FleetCheckpoint,
     FleetResult,
     SerialFleetExecutor,
-    ShardedFleetExecutor,
     checkpoint_fingerprint,
     make_fleet_executor,
     precompile_fleet,
@@ -70,7 +68,6 @@ __all__ = [
     "NVCodec",
     "QuantEntry",
     "SerialFleetExecutor",
-    "ShardedFleetExecutor",
     "VectorFleetExecutor",
     "checkpoint_fingerprint",
     "make_fleet_executor",

@@ -6,11 +6,11 @@ at a time and retains only integer counters and fixed-width histograms
 per device class.  Every field is an integer and every operation is a
 sum, which buys three properties at once:
 
-* **order independence** -- serial tau-order interleaving and sharded
+* **order independence** -- serial tau-order interleaving and pooled
   per-process runs fold the same records in different orders into the
   same state;
 * **mergeability** -- shard aggregates combine with ``merge`` (used by
-  the multiprocessing executor and by checkpoint/resume);
+  the vector executor's worker pool and by checkpoint/resume);
 * **byte determinism** -- ``to_json`` over sorted keys is reproducible
   bit-for-bit across executors, process counts, and resumed runs.
 """

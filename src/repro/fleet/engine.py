@@ -1,15 +1,15 @@
-"""Fleet execution: serial and sharded runs, checkpointing, results.
+"""Fleet execution: executors, checkpointing, results.
 
 The engine turns a :class:`FleetSpec` into an aggregate:
 
 1. expand the spec into per-device :class:`DeviceSpec` rows (pure data);
 2. precompile every (app, config) build once into the shared cache;
 3. hand device batches to an executor -- :class:`SerialFleetExecutor`
-   runs one tau-ordered scheduler over the batch in-process;
-   :class:`ShardedFleetExecutor` deals devices round-robin to worker
-   processes, each running its own scheduler, and merges the shard
-   aggregates.  Aggregation is commutative integer summation, so both
-   executors produce **bit-identical** aggregates;
+   runs one tau-ordered scheduler over the batch in-process and is the
+   reference; :class:`~repro.fleet.vector.VectorFleetExecutor` runs the
+   memoized cohort engine, in-process or on a fork pool.  Aggregation
+   is commutative integer summation, so both executors produce
+   **bit-identical** aggregates;
 4. optionally checkpoint after every chunk of devices, so a
    million-activation fleet splits across invocations: a resumed run
    folds the checkpointed aggregate and continues with the next device,
@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import multiprocessing
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +28,6 @@ from typing import Optional, Protocol, Sequence
 
 from repro.apps import BENCHMARKS
 from repro.core.cache import GLOBAL_CACHE
-from repro.core.passes import BuildConfig, get_config, register_config
 from repro.eval.report import Table
 from repro.fleet.aggregate import FleetAggregator
 from repro.fleet.device import DeviceFactory
@@ -42,7 +40,7 @@ from repro.telemetry.trace import span as _span
 def run_shard(
     devices: Sequence[DeviceSpec], engine: str = ENGINE_FAST
 ) -> FleetAggregator:
-    """Run one batch of devices to exhaustion; the executor work unit.
+    """Run one batch of devices to exhaustion; the serial work unit.
 
     Materializes the batch through one :class:`DeviceFactory` (shared
     builds, spawned supplies), schedules it in tau order, and streams
@@ -56,17 +54,6 @@ def run_shard(
         materialized.append(factory.build(spec))
     FleetScheduler(materialized).run(aggregator.observe)
     return aggregator
-
-
-def _run_shard_payload(payload: tuple[tuple[DeviceSpec, ...], str]) -> dict:
-    """Worker entry point: ship the aggregate back as primitives."""
-    devices, engine = payload
-    return run_shard(devices, engine=engine).to_dict()
-
-
-def _register_worker_configs(configs: tuple[BuildConfig, ...]) -> None:
-    for config in configs:
-        register_config(config, replace=True)
 
 
 class FleetExecutor(Protocol):
@@ -92,92 +79,6 @@ class SerialFleetExecutor:
             return run_shard(devices, engine=self.engine)
 
 
-class ShardedFleetExecutor:
-    """Deal devices across worker processes; merge shard aggregates.
-
-    Sharding is round-robin over the expansion order (device ``i`` goes
-    to shard ``i mod n``), which balances heterogeneous classes across
-    workers without any cross-process coordination.  Workers prefer the
-    ``fork`` start method to inherit the parent's warm compile cache; a
-    pool initializer re-registers the fleet's build configurations so
-    spawned workers resolve them by name too.
-
-    Small batches fall back to the in-process path: with one effective
-    worker, or fewer than ``min_devices_per_shard`` devices per shard,
-    pool setup and aggregate shipping cost more than the sharding wins
-    (the regression the ``BENCH_fleet.json`` sharding_speedup < 1 run
-    exposed).  Aggregation is commutative either way, so the fallback is
-    invisible in the result bytes; ``used`` records which path ran so
-    the fleet report can say what actually executed.
-    """
-
-    name = "sharded"
-
-    def __init__(
-        self,
-        processes: Optional[int] = None,
-        shards: Optional[int] = None,
-        engine: str = ENGINE_FAST,
-        min_devices_per_shard: int = 16,
-    ) -> None:
-        if processes is not None and processes <= 0:
-            raise ValueError("processes must be positive (or None for auto)")
-        if shards is not None and shards <= 0:
-            raise ValueError("shards must be positive (or None for auto)")
-        if min_devices_per_shard <= 0:
-            raise ValueError("min_devices_per_shard must be positive")
-        self.processes = processes
-        self.shards = shards
-        self.engine = engine
-        self.min_devices_per_shard = min_devices_per_shard
-        #: executor actually used by the last ``run`` ("sharded" or "serial")
-        self.used = "sharded"
-
-    def _context(self):
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            return multiprocessing.get_context()
-
-    def run(self, devices: Sequence[DeviceSpec]) -> FleetAggregator:
-        with _span("fleet.sharded", "fleet", devices=len(devices)):
-            return self._run(devices)
-
-    def _run(self, devices: Sequence[DeviceSpec]) -> FleetAggregator:
-        ctx = self._context()
-        processes = self.processes or min(len(devices) or 1, ctx.cpu_count() or 1)
-        shard_count = min(self.shards or processes, len(devices) or 1)
-        if self.shards is None:
-            # Right-size rather than all-or-nothing: a many-core host
-            # with a medium batch runs fewer, fuller shards instead of
-            # losing parallelism entirely to the small-batch fallback.
-            # An explicit shard count is honored as given.
-            shard_count = min(
-                shard_count, max(1, len(devices) // self.min_devices_per_shard)
-            )
-        if processes == 1 or shard_count <= 1:
-            self.used = "serial"
-            return run_shard(devices, engine=self.engine)
-        self.used = "sharded"
-        shards = [
-            (tuple(devices[i::shard_count]), self.engine)
-            for i in range(shard_count)
-        ]
-        configs = tuple(
-            get_config(name)
-            for name in sorted({d.config for d in devices})
-        )
-        aggregate = FleetAggregator()
-        with ctx.Pool(
-            processes=min(processes, shard_count),
-            initializer=_register_worker_configs,
-            initargs=(configs,),
-        ) as pool:
-            for payload in pool.map(_run_shard_payload, shards):
-                aggregate.merge(FleetAggregator.from_dict(payload))
-        return aggregate
-
-
 def make_fleet_executor(
     name: str,
     processes: Optional[int] = None,
@@ -196,28 +97,31 @@ def make_fleet_executor(
                 if supply_buckets is not None
                 else DEFAULT_SUPPLY_BUCKETS
             ),
+            processes=processes,
         )
+    if name != "serial":
+        raise FleetError(f"unknown fleet executor '{name}' (serial | vector)")
+    # The vector-only knobs silently doing nothing on the serial oracle
+    # would read as "persistence is on" or "running on N cores" when it
+    # is not.
     if memo_dir is not None or supply_buckets is not None:
-        # The memo knobs silently doing nothing on a memo-less executor
-        # would read as "persistence is on" when it is not.
         raise FleetError(
-            f"--memo-dir / --supply-buckets require the vector executor, "
-            f"not '{name}'"
+            "--memo-dir / --supply-buckets require the vector executor, "
+            "not 'serial'"
         )
-    if name == "serial":
-        return SerialFleetExecutor(engine=engine)
-    if name in ("sharded", "parallel"):
-        return ShardedFleetExecutor(processes=processes, engine=engine)
-    raise FleetError(
-        f"unknown fleet executor '{name}' (serial | sharded | vector)"
-    )
+    if processes is not None and processes > 1:
+        raise FleetError(
+            f"--jobs {processes} requires the vector executor; "
+            "the serial executor runs in one process"
+        )
+    return SerialFleetExecutor(engine=engine)
 
 
 # ---------------------------------------------------------------------------
 # Checkpointing
 
-#: Version of the cross-executor aggregate-parity contract.  All three
-#: executor families (serial, sharded, vector) fold activations with
+#: Version of the cross-executor aggregate-parity contract.  Both
+#: executor families (serial, vector) fold activations with
 #: commutative integer sums into the same canonical aggregate encoding,
 #: so a checkpoint written by one family resumes under another and the
 #: final bytes match an uninterrupted run.  If a future change breaks
@@ -307,8 +211,8 @@ class FleetResult:
     spec: FleetSpec
     aggregate: FleetAggregator
     executor: str = "serial"
-    #: executor path that actually ran (a sharded executor may fall back
-    #: to the serial path on small batches / single-core hosts)
+    #: executor path that actually ran ("vector-pool" when the vector
+    #: executor dealt a batch to worker processes)
     executor_used: str = "serial"
     engine: str = ENGINE_FAST
     devices: int = 0
@@ -363,7 +267,7 @@ def precompile_fleet(spec: FleetSpec) -> int:
     """Warm the compile cache with every (app, config) build of the fleet.
 
     Device classes share builds: a fleet of 10,000 devices over 3 classes
-    compiles at most 3 programs, and forked shard workers inherit all of
+    compiles at most 3 programs, and forked pool workers inherit all of
     them.  Returns the number of fresh compiles.
     """
     compiled_now = 0
@@ -398,6 +302,8 @@ def run_fleet(
     ``memo_dir`` backs the vector executor's activation memo with a
     persistent on-disk store and ``supply_buckets`` tunes its quantized
     supply keys; both require ``executor`` to name the vector family.
+    ``processes`` > 1 runs the vector executor on that many worker
+    processes; the serial executor rejects it.
     """
     if memo_dir is not None or supply_buckets is not None:
         if not isinstance(executor, str) or executor != "vector":

@@ -28,7 +28,9 @@ byte comparison.
 from __future__ import annotations
 
 import hashlib
+import os
 import pickle
+import secrets
 from pathlib import Path
 
 #: Version of the on-disk entry schema.  Bump whenever the pickled
@@ -89,8 +91,17 @@ class MemoStore:
             return False
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.shard_path(shard_token)
-        tmp = path.with_suffix(".pkl.tmp")
-        tmp.write_bytes(blob)
-        tmp.replace(path)
+        # A temp name of its own per writer: two processes saving one
+        # shard must not rename each other's half-written file away.
+        tmp = path.with_name(
+            f"{path.name}.{os.getpid()}.{secrets.token_hex(8)}.tmp"
+        )
+        try:
+            with open(tmp, "xb") as fh:
+                fh.write(blob)
+            tmp.replace(path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         self.stores += 1
         return True

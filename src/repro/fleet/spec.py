@@ -161,8 +161,8 @@ class DeviceSpec:
     which build to fetch from the compile cache, how to construct its
     environment (seed + overrides + phase), and its supply parameters
     (already jittered -- the per-device harvest-rate draw happens at
-    expansion time so a spec pickles as plain data and shards produce
-    the same device regardless of which process runs it).
+    expansion time so a spec pickles as plain data and pool workers
+    produce the same device regardless of which process runs it).
     """
 
     device_id: str

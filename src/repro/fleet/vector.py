@@ -39,11 +39,19 @@ Surbatovich et al.).  This executor exploits that in four layers:
 * **Cohort wave batching** (:class:`_Cohort`).  Devices in provably
   identical situations -- same tokens, same logical time -- live in one
   cohort carrying a single shared state plus (for quantized cohorts) a
-  packed per-member charge-level array.  Waves iterate cohorts, not
+  per-member charge-level list.  Waves iterate cohorts, not
   devices: a homogeneous million-device fleet is *one* cohort, and each
   wave costs one memo probe and one aggregate fold, independent of
   population.  Cohorts split when replayed charge levels straddle a
   bucket boundary and merge when states reconverge.
+
+* **Worker pool** (``processes``).  With more than one process, ``run``
+  deals devices round-robin into shares; this process runs one and
+  forked workers run the rest, each with the in-process cohort engine
+  over a copy of the warm memo.  Aggregates merge by integer sums;
+  workers ship back the memo entries they created, and the parent
+  adopts them and is the only process that touches the persistent
+  store.
 
 * **Batched miss path** (:class:`_MissBatch`).  Misses within a class
   batch run through one driver holding the shared decoded program, cost
@@ -58,26 +66,25 @@ Soundness: tokens are conservative.  A supply without memo hooks, an
 aperiodic environment, an unencodable nonvolatile state -- each only
 *loses cache hits*; it never manufactures a false equivalence.  The
 aggregate is commutative integer summation, so the vectorized fold is
-byte-identical to the serial and sharded executors (property-tested in
+byte-identical to the serial executor, pooled or not (property-tested in
 ``tests/test_fleet_vector.py``, including bucketed hits and warm
 disk-memo runs).
 """
 
 from __future__ import annotations
 
+import gc
+import multiprocessing
 import pickle
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Hashable, NamedTuple, Optional, Sequence
 
-try:  # numpy accelerates level scans and NV digests; optional.
-    import numpy as np
-except ModuleNotFoundError:  # pragma: no cover - baked into the CI image
-    np = None  # type: ignore[assignment]
-
 from repro.apps import BENCHMARKS
 from repro.core.cache import GLOBAL_CACHE, CacheKey
+from repro.core.passes import BuildConfig, get_config, register_config
 from repro.energy.segments import (
     capture_supply_state,
     restore_supply_state,
@@ -100,6 +107,11 @@ from repro.telemetry.trace import span as _span
 #: quantized supply keys.  Coarser (fewer) buckets collapse more devices
 #: onto one key; the replay gate keeps any granularity exact.
 DEFAULT_SUPPLY_BUCKETS = 32
+
+#: Fewest devices a pool worker is dealt.  Batches too small to give
+#: every worker this many use fewer workers, down to the in-process
+#: path, where fork and result shipping would cost more than they win.
+POOL_MIN_SHARE = 16
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +146,8 @@ class NVCodec:
     array names and lengths, and the universe of detector bit chains.
     The codec assigns each a slot once, then digests any state of that
     program as (packed int64 values, bit mask, sparse taint list) --
-    with numpy, the value digest is one ``tobytes`` over a packed
-    array.  The value buffer is preallocated once and reused across
+    the value digest is one ``tobytes`` over a packed ``array("q")``.
+    The value buffer is preallocated once and reused across
     encodes, so the batched miss path pays no per-activation list
     churn.  Anything outside the fixed layout (huge integers, an
     unexpected chain, a shape drift) falls back to a slower but exact
@@ -168,8 +180,6 @@ class NVCodec:
         return NVRef(token=token, snapshot=snapshot, tainted=tainted)
 
     def _packed(self, globals_, arrays, bits):
-        if np is None:
-            raise ValueError("no numpy; use structural tokens")
         if len(globals_) != len(self.global_names):
             raise ValueError("global layout drifted")
         if len(arrays) != len(self.array_names):
@@ -192,10 +202,11 @@ class NVCodec:
         mask = 0
         for chain in bits:
             mask |= 1 << self._bit_index[chain]
-        packed = np.asarray(values, dtype=np.int64)
+        # Out-of-range values raise OverflowError (structural fallback).
         # bytes objects cache their hash, so repeated dict probes on the
         # same token re-digest nothing.
-        return ("v", packed.tobytes(), mask, tuple(taints)), bool(taints)
+        packed = array("q", values).tobytes()
+        return ("v", packed, mask, tuple(taints)), bool(taints)
 
     @staticmethod
     def _structural(globals_, arrays, bits):
@@ -279,31 +290,19 @@ class MemoStats:
 class ActivationMemo:
     """Bounded LRU activation cache shared across batches and chunks.
 
-    Capped by entry count and optionally by (approximate, pickled)
-    bytes; eviction drops the least-recently-used entry.  Entries still
-    referenced by in-flight cohorts stay alive through those
-    references, so eviction can only cause future misses, never wrong
-    replays -- an evicted key simply re-executes on next encounter and
-    the aggregate bytes are unchanged (tested).
+    Capped by entry count; eviction drops the least-recently-used
+    entry.  Entries still referenced by in-flight cohorts stay alive
+    through those references, so eviction can only cause future misses,
+    never wrong replays -- an evicted key simply re-executes on next
+    encounter and the aggregate bytes are unchanged (tested).
     """
 
-    def __init__(
-        self, max_entries: int = 65_536, max_bytes: Optional[int] = None
-    ) -> None:
+    def __init__(self, max_entries: int = 65_536) -> None:
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError("max_bytes must be positive (or None)")
         self.max_entries = max_entries
-        self.max_bytes = max_bytes
         self.stats = MemoStats()
         self._entries: OrderedDict[Hashable, object] = OrderedDict()
-        # Byte accounting only when a byte cap is active; sizing costs a
-        # pickle per put, which the uncapped path should not pay.
-        self._sizes: Optional[dict[Hashable, int]] = (
-            {} if max_bytes is not None else None
-        )
-        self._bytes = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -321,23 +320,10 @@ class ActivationMemo:
         return entry
 
     def put(self, key: Hashable, entry) -> None:
-        if self._sizes is not None:
-            try:
-                size = len(pickle.dumps(entry, pickle.HIGHEST_PROTOCOL))
-            except Exception:
-                size = 1024  # unpicklable: charge a nominal footprint
-            self._bytes += size - self._sizes.pop(key, 0)
-            self._sizes[key] = size
         self._entries[key] = entry
         self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries or (
-            self.max_bytes is not None
-            and self._bytes > self.max_bytes
-            and len(self._entries) > 1
-        ):
-            stale, _ = self._entries.popitem(last=False)
-            if self._sizes is not None:
-                self._bytes -= self._sizes.pop(stale, 0)
+        while len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
             self.stats.evictions += 1
 
 
@@ -431,7 +417,7 @@ class _Cohort:
       supplies): one shared capture, one representative executes.
     * ``quant`` -- bucketed equivalence (stochastic energy-driven
       supplies): members share the charge *bucket* but keep individual
-      levels (packed array) and lazily-materialized supply objects.
+      levels (a list) and lazily-materialized supply objects.
     * ``mat`` -- a singleton pinned to a real scalar stepper (opaque
       supply state).
     """
@@ -493,17 +479,26 @@ class _Cohort:
             return self.tau
         return self.tau % self.period
 
-
-def _levels_array(values):
-    if np is not None:
-        return np.asarray(values, dtype=np.int64)
-    return list(values)
-
-
-def _levels_min(levels) -> int:
-    if np is not None and isinstance(levels, np.ndarray):
-        return int(levels.min())
-    return min(levels)
+    def successor(self, tau, index, nv_ref, bucket) -> "_Cohort":
+        """An empty quant cohort of this one's class, at ``bucket``."""
+        nxt = _Cohort(
+            "quant",
+            [],
+            self.budget,
+            self.cap,
+            self.env_key,
+            self.env,
+            self.period,
+            nv_ref,
+        )
+        nxt.tau = tau
+        nxt.index = index
+        nxt.static = self.static
+        nxt.bucket_size = self.bucket_size
+        nxt.bucket = bucket
+        nxt.levels = []
+        nxt.supplies = []
+        return nxt
 
 
 # ---------------------------------------------------------------------------
@@ -513,12 +508,18 @@ def _levels_min(levels) -> int:
 class VectorFleetExecutor:
     """Batch same-class devices through one shared decode + memo table.
 
-    Drop-in peer of the serial and sharded executors: ``run`` takes
-    device specs and returns a :class:`FleetAggregator` whose canonical
-    JSON is byte-identical to theirs.  The memo table persists across
-    ``run`` calls, so checkpointed chunked runs keep their warm cache;
-    with ``memo_dir`` it also persists across processes through a
+    Drop-in peer of the serial executor: ``run`` takes device specs and
+    returns a :class:`FleetAggregator` whose canonical JSON is
+    byte-identical to serial's.  The memo table persists across ``run``
+    calls, so checkpointed chunked runs keep their warm cache; with
+    ``memo_dir`` it also persists across processes through a
     :class:`~repro.fleet.memostore.MemoStore`.
+
+    ``processes`` > 1 runs each batch on a fork pool of that many
+    workers (fewer when the batch is too small for every worker to get
+    :data:`POOL_MIN_SHARE` devices); ``None`` or 1 runs in-process.
+    ``used`` records which path ran the last batch, so the fleet report
+    can say what actually executed.
     """
 
     name = "vector"
@@ -528,18 +529,19 @@ class VectorFleetExecutor:
         engine: str = ENGINE_FAST,
         memo: Optional[ActivationMemo] = None,
         max_entries: int = 65_536,
-        max_bytes: Optional[int] = None,
         memo_dir: Optional[Path | str] = None,
         supply_buckets: int = DEFAULT_SUPPLY_BUCKETS,
+        processes: Optional[int] = None,
     ) -> None:
         if supply_buckets < 0:
             raise ValueError("supply_buckets must be >= 0 (0 disables)")
+        if processes is not None and processes <= 0:
+            raise ValueError("processes must be positive (or None)")
         self.engine = engine
-        #: what actually executed the last batch (vector always itself)
+        self.processes = processes
+        #: path that ran the last batch: "vector" or "vector-pool"
         self.used = "vector"
-        self.memo = (
-            memo if memo is not None else ActivationMemo(max_entries, max_bytes)
-        )
+        self.memo = memo if memo is not None else ActivationMemo(max_entries)
         self.supply_buckets = supply_buckets
         self.store = MemoStore(memo_dir) if memo_dir is not None else None
         self._shard_tokens: dict = {}
@@ -644,16 +646,85 @@ class VectorFleetExecutor:
     # -- execution -----------------------------------------------------------
 
     def run(self, devices: Sequence[DeviceSpec]) -> FleetAggregator:
+        workers = min(self.processes or 1, len(devices) // POOL_MIN_SHARE)
         with _span("fleet.vector", "fleet", devices=len(devices)):
-            aggregator = FleetAggregator()
-            batches: dict[str, list[DeviceSpec]] = {}
-            for spec in devices:
-                batches.setdefault(spec.class_name, []).append(spec)
-            for specs in batches.values():
-                aggregator.add_devices(specs[0], len(specs))
-                self._run_batch(specs, aggregator)
+            if workers > 1:
+                self.used = "vector-pool"
+                aggregator = self._run_pool(devices, workers)
+            else:
+                self.used = "vector"
+                aggregator = self._run_local(devices)
             self._save_shards()
             return aggregator
+
+    def _run_local(self, devices: Sequence[DeviceSpec]) -> FleetAggregator:
+        aggregator = FleetAggregator()
+        batches: dict[str, list[DeviceSpec]] = {}
+        for spec in devices:
+            batches.setdefault(spec.class_name, []).append(spec)
+        for specs in batches.values():
+            aggregator.add_devices(specs[0], len(specs))
+            self._run_batch(specs, aggregator)
+        return aggregator
+
+    def _run_pool(
+        self, devices: Sequence[DeviceSpec], workers: int
+    ) -> FleetAggregator:
+        """Deal devices round-robin to ``workers`` shares; merge the results.
+
+        Round-robin over the expansion order balances heterogeneous
+        classes across shares without any coordination.  Every memo
+        store shard the batch needs is loaded first, so forked workers
+        inherit the warm memo and never open the store themselves.  This
+        process runs the first share, so its own entries need no
+        shipping, while ``workers - 1`` forked workers run one share
+        each.  Every share starts from the memo as it is now: the pool
+        forks before this process runs its share, and a barrier keeps a
+        worker from taking a second share after finishing its first.
+        """
+        programs = {(spec.app, spec.config) for spec in devices}
+        for app, config in sorted(programs):
+            self._load_shard((app, config, self.engine), BENCHMARKS[app])
+        configs = tuple(
+            get_config(name) for name in sorted({c for _, c in programs})
+        )
+        worker = VectorFleetExecutor(
+            engine=self.engine,
+            memo=self.memo,
+            supply_buckets=self.supply_buckets,
+        )
+        shares = [tuple(devices[i::workers]) for i in range(workers)]
+        ctx = _pool_context()
+        with ctx.Pool(
+            processes=workers - 1,
+            initializer=_init_worker,
+            initargs=(configs, worker, ctx.Barrier(workers - 1)),
+        ) as pool:
+            pending = pool.map_async(_run_share, shares[1:])
+            aggregator = self._run_local(shares[0])
+            for payload, created, stats in pending.get():
+                aggregator.merge(FleetAggregator.from_dict(payload))
+                self._adopt(_loads_untracked(created), stats)
+        return aggregator
+
+    def _adopt(self, created: list, stats: MemoStats) -> None:
+        """Fold one worker's new memo entries and accounting into ours."""
+        for key, entry in created:
+            held = self.memo.get(key)
+            if held is None:
+                self.memo.put(key, entry)
+            elif isinstance(held, QuantEntry) and (
+                entry.exec_level < held.exec_level
+            ):
+                # Two shares ran this key reboot-free; keep the wider
+                # replay gate, as in-process tightening would.
+                held.exec_level = entry.exec_level
+            else:
+                continue
+            self._dirty.add(key[0])
+        self.memo.stats.hits += stats.hits
+        self.memo.stats.misses += stats.misses
+        self.memo.stats.evictions += stats.evictions
 
     def _run_batch(
         self, specs: list[DeviceSpec], aggregator: FleetAggregator
@@ -782,9 +853,7 @@ class VectorFleetExecutor:
                     1, capacity // max(1, self.supply_buckets)
                 )
                 cohort.bucket = capacity // cohort.bucket_size
-                cohort.levels = _levels_array(
-                    [capacity] * len(cohort.positions)
-                )
+                cohort.levels = [capacity] * len(cohort.positions)
                 cohort.supplies = [None] * len(cohort.positions)
         return order
 
@@ -908,7 +977,7 @@ class VectorFleetExecutor:
         )
         entry = self.memo.get(qkey)
         if entry is not None and all(
-            _levels_min(c.levels) >= entry.exec_level for c in cs
+            min(c.levels) >= entry.exec_level for c in cs
         ):
             return self._quant_replay_all(cs, entry, sink)
         # Mixed wave: walk members in deterministic order; the first
@@ -921,7 +990,7 @@ class VectorFleetExecutor:
             levels = c.levels
             supplies = c.supplies
             for i, pos in enumerate(c.positions):
-                level = int(levels[i])
+                level = levels[i]
                 if entry is not None and level >= entry.exec_level:
                     self.memo.stats.hits += 1
                     _sink(sink, entry.record, 1)
@@ -978,12 +1047,10 @@ class VectorFleetExecutor:
                         pos,
                         supply,
                     )
-        for cohort in order:
-            cohort.levels = _levels_array(cohort.levels)
         return order
 
     def _quant_replay_all(self, cs, entry: QuantEntry, sink) -> list:
-        """Whole-group bucketed replay: vectorized drain + bucket split."""
+        """Whole-group bucketed replay: drain every level, split by bucket."""
         members = sum(len(c.positions) for c in cs)
         self.memo.stats.hits += members
         _sink(sink, entry.record, members)
@@ -993,82 +1060,22 @@ class VectorFleetExecutor:
         by_bucket: dict = {}
         order: list[_Cohort] = []
         for c in cs:
-            c.tau += entry.tau_delta
-            c.index += 1
-            c.nv_ref = entry.post_nv
-            bsize = c.bucket_size
-            if np is not None and isinstance(c.levels, np.ndarray):
-                c.levels -= consumed
-                buckets = c.levels // bsize
-                first = int(buckets[0])
-                if bool((buckets == first).all()):
-                    splits = [(first, None)]
-                else:
-                    splits = [
-                        (int(b), buckets == b) for b in np.unique(buckets)
-                    ]
-            else:
-                c.levels = [lv - consumed for lv in c.levels]
-                buckets = [lv // bsize for lv in c.levels]
-                uniq = sorted(set(buckets))
-                if len(uniq) == 1:
-                    splits = [(uniq[0], None)]
-                else:
-                    splits = [(b, b) for b in uniq]
-            for bucket, mask in splits:
+            tau = c.tau + entry.tau_delta
+            levels = [lv - consumed for lv in c.levels]
+            groups: dict[int, list[int]] = {}
+            for j, level in enumerate(levels):
+                groups.setdefault(level // c.bucket_size, []).append(j)
+            for bucket in sorted(groups):
                 target = by_bucket.get(bucket)
-                if mask is None and target is None and len(splits) == 1:
-                    # Common case: the cohort stays whole; keep its
-                    # membership arrays untouched (O(1) per wave).
-                    c.bucket = bucket
-                    by_bucket[bucket] = c
-                    order.append(c)
-                    continue
-                if np is not None and isinstance(mask, np.ndarray):
-                    idx = np.flatnonzero(mask)
-                    positions = [c.positions[j] for j in idx]
-                    levels = c.levels[idx]
-                    supplies = [c.supplies[j] for j in idx]
-                elif mask is None:
-                    positions = c.positions
-                    levels = c.levels
-                    supplies = c.supplies
-                else:  # list fallback: mask is the bucket value
-                    sel = [j for j, b in enumerate(buckets) if b == mask]
-                    positions = [c.positions[j] for j in sel]
-                    levels = [c.levels[j] for j in sel]
-                    supplies = [c.supplies[j] for j in sel]
                 if target is None:
-                    split = _Cohort(
-                        "quant",
-                        list(positions),
-                        c.budget,
-                        c.cap,
-                        c.env_key,
-                        c.env,
-                        c.period,
-                        c.nv_ref,
+                    target = by_bucket[bucket] = c.successor(
+                        tau, c.index + 1, entry.post_nv, bucket
                     )
-                    split.tau = c.tau
-                    split.index = c.index
-                    split.static = c.static
-                    split.bucket_size = bsize
-                    split.bucket = bucket
-                    split.levels = levels
-                    split.supplies = list(supplies)
-                    by_bucket[bucket] = split
-                    order.append(split)
-                else:
-                    target.positions.extend(positions)
-                    target.supplies.extend(supplies)
-                    if np is not None and isinstance(
-                        target.levels, np.ndarray
-                    ):
-                        target.levels = np.concatenate(
-                            [target.levels, np.asarray(levels, dtype=np.int64)]
-                        )
-                    else:
-                        target.levels = list(target.levels) + list(levels)
+                    order.append(target)
+                sel = groups[bucket]
+                target.positions.extend(c.positions[j] for j in sel)
+                target.levels.extend(levels[j] for j in sel)
+                target.supplies.extend(c.supplies[j] for j in sel)
         return order
 
     @staticmethod
@@ -1080,24 +1087,7 @@ class VectorFleetExecutor:
         key = (tau, nv_ref.token, bucket)
         cohort = regroup.get(key)
         if cohort is None:
-            cohort = _Cohort(
-                "quant",
-                [],
-                src.budget,
-                src.cap,
-                src.env_key,
-                src.env,
-                src.period,
-                nv_ref,
-            )
-            cohort.tau = tau
-            cohort.index = index
-            cohort.static = src.static
-            cohort.bucket_size = src.bucket_size
-            cohort.bucket = bucket
-            cohort.levels = []
-            cohort.supplies = []
-            regroup[key] = cohort
+            cohort = regroup[key] = src.successor(tau, index, nv_ref, bucket)
             order.append(cohort)
         cohort.positions.append(pos)
         cohort.levels.append(level)
@@ -1137,6 +1127,88 @@ def _sink(sink: dict, record, count: int) -> None:
         sink[key] = [record, count]
     else:
         slot[1] += count
+
+
+#: The executor a pool worker runs its share on, and the barrier every
+#: worker passes once it holds a share (both set by ``_init_worker``).
+_WORKER: Optional[VectorFleetExecutor] = None
+_BARRIER = None
+
+
+def _pool_context():
+    """Fork, so workers inherit the warm compile cache and memo; where
+    fork is unavailable, workers start cold (still correct)."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        return multiprocessing.get_context()
+
+
+def _init_worker(
+    configs: tuple[BuildConfig, ...], executor: VectorFleetExecutor, barrier
+) -> None:
+    """Pool initializer: register the batch's build configs (spawned
+    workers resolve them by name too) and install the worker state."""
+    global _WORKER, _BARRIER
+    for config in configs:
+        register_config(config, replace=True)
+    _WORKER = executor
+    _BARRIER = barrier
+
+
+#: What ``pickle.dumps`` raises for objects it cannot serialize.
+_UNPICKLABLE = (pickle.PicklingError, TypeError, AttributeError)
+
+
+def _picklable(item) -> bool:
+    try:
+        pickle.dumps(item, pickle.HIGHEST_PROTOCOL)
+    except _UNPICKLABLE:
+        return False
+    return True
+
+
+def _loads_untracked(blob: bytes):
+    """``pickle.loads`` with cyclic GC paused: every object a worker's
+    entries unpickle into survives, so collections meanwhile free
+    nothing and roughly double the load time."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return pickle.loads(blob)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run_share(devices: tuple[DeviceSpec, ...]):
+    """Worker entry point: run one share in-process.
+
+    Returns the aggregate as primitives, the pickled (key, entry) pairs
+    this share added to the memo, and the share's memo stats.  Entries
+    are pickled as one list, so the objects they share are written
+    once; an entry that will not pickle is dropped, which only costs
+    hits.
+    """
+    executor = _WORKER
+    assert executor is not None, "pool worker was not initialized"
+    if _BARRIER is not None:
+        # There are as many shares as workers: once every worker holds
+        # one, none is left for a worker whose memo has moved on.
+        _BARRIER.wait()
+    memo = executor.memo
+    inherited = set(memo._entries)
+    memo.stats = MemoStats()
+    aggregate = executor._run_local(devices)
+    created = [item for item in memo.items() if item[0] not in inherited]
+    try:
+        blob = pickle.dumps(created, pickle.HIGHEST_PROTOCOL)
+    except _UNPICKLABLE:
+        blob = pickle.dumps(
+            [item for item in created if _picklable(item)],
+            pickle.HIGHEST_PROTOCOL,
+        )
+    return aggregate.to_dict(), blob, memo.stats
 
 
 def _parity_scheme() -> str:

@@ -1,6 +1,6 @@
 """Regression tests for the hot-path bugfixes that shipped with the
 pre-decoded engine: single evaluation of ``work`` amounts, detector-plan
-encapsulation, and the sharded fleet executor's small-batch fallback.
+encapsulation, and the vector fleet executor's pool/in-process choice.
 (The ``derive_seed`` part-boundary fix is covered in test_energy.py.)
 """
 
@@ -10,7 +10,8 @@ import pytest
 
 from repro.analysis.provenance import Chain
 from repro.core.pipeline import compile_source
-from repro.fleet import ShardedFleetExecutor, run_fleet
+from repro.fleet import FleetError, VectorFleetExecutor, run_fleet
+from repro.fleet.vector import POOL_MIN_SHARE
 from repro.ir.instructions import InstrId
 from repro.runtime.detector import Check, DetectorPlan
 from repro.runtime.executor import Machine
@@ -90,73 +91,73 @@ class TestDetectorPlanEncapsulation:
         assert plan.checks_at(Chain(ids=(InstrId("main", 99),))) == ()
 
 
-class TestShardedFallback:
+class TestVectorPool:
     def _spec(self, devices: int):
         from tests.test_fleet import small_spec
 
         return small_spec().with_total_devices(devices)
 
-    def test_single_process_falls_back_to_serial(self):
-        executor = ShardedFleetExecutor(processes=1)
-        result = run_fleet(self._spec(8), executor)
-        assert executor.used == "serial"
-        assert result.executor == "sharded"
-        assert result.executor_used == "serial"
+    def test_single_process_runs_in_process(self):
+        executor = VectorFleetExecutor(processes=1)
+        result = run_fleet(self._spec(4 * POOL_MIN_SHARE), executor)
+        assert executor.used == "vector"
+        assert result.executor == "vector"
+        assert result.executor_used == "vector"
 
-    def test_small_batches_fall_back_to_serial(self):
-        # 8 devices over 4 workers = 2 per shard, far below the threshold:
-        # pool setup would cost more than the sharding wins.
-        executor = ShardedFleetExecutor(processes=4, min_devices_per_shard=16)
-        result = run_fleet(self._spec(8), executor)
-        assert executor.used == "serial"
-        assert result.executor_used == "serial"
+    def test_small_batches_run_in_process(self):
+        # Too few devices for two fair shares: fork and result shipping
+        # would cost more than the split wins.
+        executor = VectorFleetExecutor(processes=2)
+        result = run_fleet(self._spec(2 * POOL_MIN_SHARE - 1), executor)
+        assert executor.used == "vector"
+        assert result.executor_used == "vector"
 
-    def test_large_batches_still_shard(self):
-        executor = ShardedFleetExecutor(processes=2, min_devices_per_shard=2)
-        result = run_fleet(self._spec(8), executor)
-        assert executor.used == "sharded"
-        assert result.executor_used == "sharded"
+    def test_large_batches_use_the_pool(self):
+        executor = VectorFleetExecutor(processes=2)
+        result = run_fleet(self._spec(2 * POOL_MIN_SHARE), executor)
+        assert executor.used == "vector-pool"
+        assert result.executor_used == "vector-pool"
 
-    def test_fallback_and_sharded_aggregates_are_identical(self):
+    def test_many_workers_right_size_the_pool(self):
+        # More workers than fair shares: the pool shrinks to the shares
+        # there are instead of dropping to the in-process path.
+        executor = VectorFleetExecutor(processes=16)
+        result = run_fleet(self._spec(2 * POOL_MIN_SHARE), executor)
+        assert executor.used == "vector-pool"
+        assert result.executor_used == "vector-pool"
+
+    def test_pooled_and_in_process_aggregates_are_identical(self):
         from repro.fleet import aggregate_fingerprint
 
-        spec = self._spec(8)
-        serial = run_fleet(spec, ShardedFleetExecutor(processes=1))
-        sharded = run_fleet(
-            spec, ShardedFleetExecutor(processes=2, min_devices_per_shard=2)
+        spec = self._spec(2 * POOL_MIN_SHARE)
+        serial = run_fleet(spec, "serial")
+        in_process = run_fleet(spec, VectorFleetExecutor())
+        pooled = run_fleet(spec, VectorFleetExecutor(processes=2))
+        assert pooled.executor_used == "vector-pool"
+        assert aggregate_fingerprint(in_process) == aggregate_fingerprint(serial)
+        assert aggregate_fingerprint(pooled) == aggregate_fingerprint(serial)
+        assert pooled.memo["hits"] + pooled.memo["misses"] == (
+            in_process.memo["hits"] + in_process.memo["misses"]
         )
-        assert aggregate_fingerprint(serial) == aggregate_fingerprint(sharded)
 
     def test_report_records_engine_and_executor_used(self):
-        result = run_fleet(self._spec(4), ShardedFleetExecutor(processes=1))
+        result = run_fleet(
+            self._spec(2 * POOL_MIN_SHARE), "vector", processes=2
+        )
         payload = result.to_dict()
-        assert payload["executor"] == "sharded"
-        assert payload["executor_used"] == "serial"
+        assert payload["executor"] == "vector"
+        assert payload["executor_used"] == "vector-pool"
         assert payload["engine"] == "fast"
 
-    def test_bad_threshold_rejected(self):
-        with pytest.raises(ValueError, match="min_devices_per_shard"):
-            ShardedFleetExecutor(min_devices_per_shard=0)
+    def test_bad_process_count_rejected(self):
+        with pytest.raises(ValueError, match="processes"):
+            VectorFleetExecutor(processes=0)
 
-    def test_explicit_shard_count_is_honored(self):
-        # An explicit shards= request bypasses the small-batch threshold:
-        # the caller asked for that split, serial fallback applies only
-        # when there is genuinely no parallelism (one process/shard).
-        executor = ShardedFleetExecutor(
-            processes=2, shards=2, min_devices_per_shard=16
-        )
-        result = run_fleet(self._spec(8), executor)
-        assert executor.used == "sharded"
-        assert result.executor_used == "sharded"
-
-    def test_many_workers_right_size_shards_instead_of_serial(self):
-        # 24 devices on 16 nominal workers: 24 < 16*4, but right-sizing
-        # to 24//4 = 6 shards keeps the batch parallel instead of
-        # silently dropping to serial.
-        executor = ShardedFleetExecutor(processes=16, min_devices_per_shard=4)
-        result = run_fleet(self._spec(24), executor)
-        assert executor.used == "sharded"
-        assert result.executor_used == "sharded"
+    def test_serial_executor_rejects_jobs(self):
+        with pytest.raises(FleetError, match="vector"):
+            run_fleet(self._spec(4), "serial", processes=2)
+        # One process is what serial does anyway.
+        assert run_fleet(self._spec(4), "serial", processes=1).devices == 4
 
 
 class TestSeedSchemeFingerprint:

@@ -22,6 +22,7 @@ from repro.fleet import (
     run_shard,
 )
 from repro.fleet.device import DeviceFactory
+from repro.fleet.vector import POOL_MIN_SHARE
 from repro.fleet.scheduler import FleetScheduler
 from repro.runtime.harness import ActivationRecord
 from tests.strategies import fleet_specs
@@ -247,12 +248,13 @@ class TestAggregator:
 
 
 class TestExecutorParity:
-    def test_serial_and_sharded_agree_byte_for_byte(self):
-        spec = small_spec()
+    def test_serial_and_vector_pool_agree_byte_for_byte(self):
+        spec = small_spec().with_total_devices(2 * POOL_MIN_SHARE)
         serial = run_fleet(spec, "serial")
-        sharded = run_fleet(spec, "sharded", processes=2)
-        assert aggregate_fingerprint(serial) == aggregate_fingerprint(sharded)
-        assert serial.aggregate.to_json() == sharded.aggregate.to_json()
+        pooled = run_fleet(spec, "vector", processes=2)
+        assert pooled.executor_used == "vector-pool"
+        assert aggregate_fingerprint(serial) == aggregate_fingerprint(pooled)
+        assert serial.aggregate.to_json() == pooled.aggregate.to_json()
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(FleetError, match="unknown fleet executor"):

@@ -1,19 +1,21 @@
 """Vectorized fleet executor: parity, memo-key soundness, hit rates.
 
 The vector executor's whole value proposition is "same bytes, fewer
-instructions": these tests pin the byte-identity against the serial and
-sharded executors (including under hypothesis-generated fleets, with
-quantized supply keys at aggressive bucket sizes and warm disk-backed
-memo runs), prove the memo key cannot produce false hits (perturbing one
-nonvolatile bit, one stored value, one taint, one environment segment,
-or one charge bucket changes the key), and check that the intended hits
-actually happen (a homogeneous deterministic fleet replays almost
-everything; a jittered fleet scores nonzero hits via quantization).
+instructions": these tests pin the byte-identity against the serial
+executor, in-process and on the worker pool (including under
+hypothesis-generated fleets, with quantized supply keys at aggressive
+bucket sizes and warm disk-backed memo runs), prove the memo key cannot
+produce false hits (perturbing one nonvolatile bit, one stored value,
+one taint, one environment segment, or one charge bucket changes the
+key), and check that the intended hits actually happen (a homogeneous
+deterministic fleet replays almost everything; a jittered fleet scores
+nonzero hits via quantization).
 """
 
 from __future__ import annotations
 
 import pickle
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from repro.apps import BENCHMARKS
 from repro.core.cache import GLOBAL_CACHE
 from repro.energy.segments import quantized_supply_token, supply_memo_token
 from repro.eval.campaign import SupplySpec
+from repro.fleet import vector as vector_module
 from repro.fleet import (
     ActivationMemo,
     DeviceClass,
@@ -160,13 +163,35 @@ class TestVectorParity:
         vector = run_fleet(spec, "vector")
         assert aggregate_fingerprint(vector) == aggregate_fingerprint(serial)
 
-    @given(spec=fleet_specs())
+    @given(spec=fleet_specs(), processes=st.sampled_from([1, 2]))
     @settings(max_examples=10, deadline=None)
-    def test_vector_matches_serial_property(self, spec):
+    def test_vector_matches_serial_property(self, spec, processes):
         devices = spec.expand()
         serial = run_shard(devices)
-        vector = VectorFleetExecutor().run(devices)
+        executor = VectorFleetExecutor(processes=processes)
+        # Generated fleets are small; let every share be one device so
+        # processes=2 really runs the pool.
+        with mock.patch.object(vector_module, "POOL_MIN_SHARE", 1):
+            vector = executor.run(devices)
+        pooled = processes > 1 and len(devices) > 1
+        assert executor.used == ("vector-pool" if pooled else "vector")
         assert vector.to_json() == serial.to_json()
+
+    def test_pool_hit_counts_are_deterministic_with_more_workers_than_cores(
+        self,
+    ):
+        # Shares this small finish in milliseconds; without the start
+        # barrier a worker could take a second share on top of its own
+        # memo, and the hit counts would vary from run to run.
+        spec = uniform_spec(
+            count=8 * vector_module.POOL_MIN_SHARE, budget_cycles=5_000
+        )
+        in_process = run_fleet(spec, "vector")
+        runs = [run_fleet(spec, "vector", processes=8) for _ in range(4)]
+        assert {run.executor_used for run in runs} == {"vector-pool"}
+        assert all(run.memo == runs[0].memo for run in runs)
+        for run in runs:
+            assert run.aggregate.to_json() == in_process.aggregate.to_json()
 
     def test_memo_survives_chunking(self):
         # One executor over many chunks must equal one-shot execution:
@@ -395,14 +420,6 @@ class TestMemoCapAndEviction:
         assert memo.get("a") == 1 and memo.get("c") == 3
         assert memo.stats.evictions == 1
 
-    def test_byte_cap_bounds_the_table(self):
-        entry_size = len(pickle.dumps("x" * 100, pickle.HIGHEST_PROTOCOL))
-        memo = ActivationMemo(max_entries=1000, max_bytes=3 * entry_size)
-        for i in range(10):
-            memo.put(i, "x" * 100)
-        assert len(memo) <= 3
-        assert memo.stats.evictions >= 7
-
     def test_capped_memo_produces_byte_identical_aggregates(self):
         # The satellite bugfix contract: eviction only causes re-misses,
         # never wrong replays -- aggregates must not change by a byte.
@@ -457,12 +474,59 @@ class TestPersistentMemo:
         assert store.load("token-a") == {}
         assert MEMO_SCHEMA == "repro-memo-1"
 
+    def test_pooled_warm_run_is_byte_identical_and_reports_disk_loads(
+        self, tmp_path
+    ):
+        spec = jittered_spec(count=2 * vector_module.POOL_MIN_SHARE)
+        serial = run_fleet(spec, "serial")
+        cold = run_fleet(spec, "vector", memo_dir=tmp_path, processes=2)
+        assert cold.executor_used == "vector-pool"
+        assert cold.memo["disk_loads"] == 0
+        # Workers never open the store: the parent is its only writer.
+        assert not list(tmp_path.glob("*.tmp"))
+        warm = run_fleet(spec, "vector", memo_dir=tmp_path, processes=2)
+        assert aggregate_fingerprint(cold) == aggregate_fingerprint(serial)
+        assert warm.aggregate.to_json() == cold.aggregate.to_json()
+        assert warm.memo["disk_loads"] > 0
+        assert warm.memo["hit_rate"] > cold.memo["hit_rate"]
+
+    def test_pool_worker_drops_only_unpicklable_entries(self, monkeypatch):
+        devices = uniform_spec(count=4).expand()
+
+        class LeakyExecutor(VectorFleetExecutor):
+            def _run_local(self, devices):
+                aggregate = super()._run_local(devices)
+                self.memo.put(("unpicklable",), lambda: None)
+                return aggregate
+
+        worker = LeakyExecutor()
+        worker.memo.put(("inherited",), "not shipped back")
+        monkeypatch.setattr(vector_module, "_WORKER", worker)
+        payload, blob, stats = vector_module._run_share(tuple(devices))
+        created = dict(pickle.loads(blob))
+        assert ("unpicklable",) not in created
+        assert ("inherited",) not in created
+        assert created and len(created) == len(worker.memo) - 2
+        assert stats.misses > 0
+        reference = VectorFleetExecutor().run(devices)
+        assert FleetAggregator.from_dict(payload).to_json() == reference.to_json()
+
+    def test_save_leaves_another_writers_temp_file_alone(self, tmp_path):
+        store = MemoStore(tmp_path)
+        # Another process is mid-save on the shared legacy temp name.
+        theirs = store.shard_path("token").with_suffix(".pkl.tmp")
+        theirs.write_bytes(b"half-written by another process")
+        assert store.save("token", {"k": "v"})
+        assert store.load("token") == {"k": "v"}
+        assert theirs.read_bytes() == b"half-written by another process"
+        assert list(tmp_path.glob("*.tmp")) == [theirs]
+
     def test_memo_dir_requires_vector_executor(self):
         spec = uniform_spec(count=2)
         with pytest.raises(FleetError, match="vector"):
             run_fleet(spec, "serial", memo_dir="/tmp/nope")
         with pytest.raises(FleetError, match="vector"):
-            run_fleet(spec, "sharded", supply_buckets=8)
+            run_fleet(spec, "serial", supply_buckets=8)
 
 
 class TestCheckpointFamilyGate:
@@ -500,6 +564,39 @@ class TestCheckpointFamilyGate:
         ).save(path)
         with pytest.raises(FleetError, match="executor family"):
             run_fleet(spec, "serial", checkpoint_path=path)
+
+    def test_pooled_vector_checkpoint_resumes_under_serial(self, tmp_path):
+        share = vector_module.POOL_MIN_SHARE
+        spec = mixed_spec().with_total_devices(4 * share)
+        full = run_fleet(spec, "serial")
+        path = tmp_path / "fleet.ckpt.json"
+
+        class Interrupted(Exception):
+            pass
+
+        executor = VectorFleetExecutor(processes=2)
+        run_chunk = executor.run
+        chunks_run = []
+
+        def run_first_chunk_only(devices):
+            if chunks_run:
+                raise Interrupted
+            chunks_run.append(len(devices))
+            return run_chunk(devices)
+
+        executor.run = run_first_chunk_only
+        with pytest.raises(Interrupted):
+            run_fleet(
+                spec, executor, checkpoint_path=path, checkpoint_every=2 * share
+            )
+        assert executor.used == "vector-pool"
+        checkpoint = FleetCheckpoint.load(path)
+        assert checkpoint.devices_done == 2 * share
+        assert checkpoint.executor_family == "vector"
+        resumed = run_fleet(spec, "serial", checkpoint_path=path)
+        assert resumed.resumed_devices == 2 * share
+        assert resumed.executor_used == "vector+serial"
+        assert aggregate_fingerprint(resumed) == aggregate_fingerprint(full)
 
     def test_vector_checkpoint_records_family(self, tmp_path):
         spec = uniform_spec(count=8)
