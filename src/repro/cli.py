@@ -2,14 +2,13 @@
 
 Subcommands::
 
-    python -m repro compile FILE      # compile; show regions / IR / policies
     python -m repro build TARGET      # compile; dump any stage artifact
     python -m repro check FILE        # checker mode on manual regions
     python -m repro run TARGET        # simulate an execution
     python -m repro trace TARGET      # run + export a Chrome-trace timeline
     python -m repro explain TARGET    # run + violation forensics report
     python -m repro verify TARGET     # bounded power-failure model checking
-    python -m repro feasibility FILE  # Section 5.3 energy-feasibility report
+    python -m repro feasibility TARGET  # Section 5.3 energy-feasibility report
     python -m repro eval              # regenerate the paper's tables/figures
     python -m repro campaign SPEC     # run a declarative evaluation campaign
     python -m repro fleet SPEC        # simulate a multi-device fleet
@@ -20,8 +19,8 @@ Every subcommand takes ``--verbose/--quiet`` (status output goes through
 metrics-registry JSON (schema ``repro-metrics-1``).
 
 Programs are modeling-language source files (see ``examples/`` and
-``src/repro/apps/`` for reference programs); ``build``, ``run``, and
-``verify`` also accept a registered benchmark name.  ``--config`` accepts any registered build
+``src/repro/apps/`` for reference programs); ``build``, ``run``,
+``verify``, and ``feasibility`` also accept a registered benchmark name.  ``--config`` accepts any registered build
 configuration and ``--emit`` any registered stage artifact -- both lists
 are derived from their registries (:mod:`repro.core.passes`), including
 the check-optimizer artifacts ``dataflow`` and ``opt`` of the ``*-opt``
@@ -50,7 +49,6 @@ from repro.core.passes import (
 from repro.core.pipeline import PipelineOptions
 from repro.eval.profiles import STANDARD_PROFILE
 from repro.ir.lowering import lower_program
-from repro.ir.printer import print_module
 from repro.lang.parser import parse_program
 from repro.runtime.engine import ENGINE_FAST, ENGINES
 from repro.runtime.harness import run_once
@@ -79,15 +77,6 @@ def _resolve_config(name: str) -> BuildConfig:
         return get_config(name)
     except UnknownConfigError as exc:
         raise SystemExit(str(exc)) from None
-
-
-def _compile(path: str, config: str):
-    """Compile a file through the process-wide compile cache."""
-    return compile_cached(
-        _read_source(path),
-        config=_resolve_config(config),
-        options=PipelineOptions(strict=False),
-    )
 
 
 def _parse_env(module_channels: list[str], specs: list[str]) -> Environment:
@@ -140,37 +129,6 @@ def _compile_target(target: str, config: str):
         config=_resolve_config(config),
         options=PipelineOptions(strict=False),
     )
-
-
-def cmd_compile(args: argparse.Namespace) -> int:
-    compiled = _compile(args.file, args.config)
-    print(f"config      : {compiled.config}")
-    print(f"functions   : {len(compiled.module.functions)}")
-    print(f"policies    : {len(compiled.policies)}")
-    print(f"checker     : {'PASS' if compiled.check.ok else 'FAIL'}")
-    for failure in compiled.check.failures:
-        print(f"  ! {failure}")
-    if args.regions or not (args.ir or args.policies):
-        for region in compiled.regions:
-            print(
-                f"region {region.region} [{region.pid}] in {region.func}: "
-                f"{region.start_block}[{region.start_index}] .. "
-                f"{region.end_block}[{region.end_index}]"
-            )
-        for info in compiled.region_infos:
-            print(
-                f"  {info.region}: omega={sorted(info.omega)} "
-                f"war={sorted(info.war)} emw={sorted(info.emw)}"
-            )
-    if args.policies:
-        for policy in compiled.policies.all_policies():
-            print(f"policy {policy.pid} [{policy.kind}]")
-            for chain in sorted(policy.inputs):
-                print(f"  input: {chain}")
-    if args.ir:
-        print(print_module(compiled.module))
-    enforcing = _resolve_config(args.config).enforces
-    return 0 if compiled.check.ok or not enforcing else 1
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -437,7 +395,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_feasibility(args: argparse.Namespace) -> int:
-    compiled = _compile(args.file, args.config)
+    compiled = _compile_target(args.file, args.config)
     usable = args.usable or profile_usable_energy(STANDARD_PROFILE)
     report = check_feasibility(compiled.module, usable)
     print(f"usable energy window: {usable}")
@@ -524,7 +482,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             checkpoint_every=args.checkpoint_every,
             engine=args.engine,
             memo_dir=args.memo_dir,
-            supply_buckets=args.supply_buckets,
         )
     except FleetError as exc:
         raise SystemExit(str(exc)) from None
@@ -619,14 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
                 f"'reference' the Appendix H semantics oracle{extra}"
             ),
         )
-
-    p_compile = sub.add_parser("compile", help="compile a program")
-    p_compile.add_argument("file")
-    add_config_flag(p_compile)
-    p_compile.add_argument("--ir", action="store_true", help="print the IR")
-    p_compile.add_argument("--regions", action="store_true")
-    p_compile.add_argument("--policies", action="store_true")
-    p_compile.set_defaults(func=cmd_compile)
 
     p_build = sub.add_parser(
         "build", help="compile and dump intermediate stage artifacts"
@@ -887,14 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="persist the vector executor's activation memo here "
         "(requires --executor vector); re-runs start warm",
-    )
-    p_fleet.add_argument(
-        "--supply-buckets",
-        type=int,
-        default=None,
-        metavar="N",
-        help="charge buckets for quantized supply memo keys on the "
-        "vector executor (0 disables quantization; default 32)",
     )
     p_fleet.add_argument(
         "--histograms",

@@ -19,14 +19,15 @@ each with its own equivalence token:
 Two devices running the same program whose nonvolatile state, supply
 token, and environment-time token agree must produce identical
 activation outcomes -- the soundness fact the fleet memoizer
-(:mod:`repro.fleet.vector`) builds on.  Everything here is *conservative*:
-a supply without hooks is opaque (``None``), which only costs cache hits.
+(:mod:`repro.fleet.vector`) builds on.  A supply without hooks is opaque
+(``None``); the memoizer refuses to key it rather than guess.
 
 **Quantized supply tokens.**  Exact tokens make the memo useless on
 heterogeneous fleets: per-device harvest-rate jitter and RNG stream
-positions make every key unique.  :func:`quantized_supply_token` buckets
-the charge level and drops everything per-device, which is sound only
-under a replay gate the memoizer enforces:
+positions make every key unique.  The memoizer instead keys stochastic
+supplies on :func:`supply_quantum`'s static token plus a charge bucket,
+dropping everything per-device, which is sound only under a replay gate
+it enforces:
 
 * a bucketed entry is stored only for a **reboot-free** activation
   (``reboots == 0`` and ``cycles_off == 0``), recording the charge level
@@ -54,8 +55,8 @@ def supply_memo_token(supply) -> Optional[Hashable]:
     """The supply's behavioral-equivalence token, or ``None`` if opaque.
 
     Dispatches on the optional ``memo_token`` hook so third-party supply
-    implementations that predate the hooks degrade to "never equivalent"
-    instead of breaking.
+    implementations that predate the hooks read as opaque instead of
+    raising ``AttributeError``.
     """
     token = getattr(supply, "memo_token", None)
     if token is None:
@@ -67,33 +68,12 @@ def supply_quantum(supply) -> Optional[tuple]:
     """``(static_token, charge_level)`` for bucketed keys, or ``None``.
 
     Dispatches on the optional ``memo_quantum`` hook; a supply without
-    one cannot be quantized and falls back to exact tokens (or
-    opacity), which only costs cache hits.
+    one cannot be quantized.
     """
     hook = getattr(supply, "memo_quantum", None)
     if hook is None:
         return None
     return hook()
-
-
-def quantized_supply_token(supply, bucket_size: int) -> Optional[Hashable]:
-    """Conservative bucketed supply token: geometry + charge bucket.
-
-    ``bucket_size`` is the charge span (energy units) one bucket
-    covers; any perturbation of the charge level that crosses a bucket
-    boundary changes the token (property-tested in
-    ``tests/test_fleet_vector.py``).  Only sound under the reboot-free
-    replay gate described in the module docstring -- the fleet memoizer
-    pairs every bucketed key with a recorded execution level and
-    replays only at or above it.
-    """
-    if bucket_size <= 0:
-        return None
-    quantum = supply_quantum(supply)
-    if quantum is None:
-        return None
-    static, level = quantum
-    return ("q", static, bucket_size, level // bucket_size)
 
 
 def capture_supply_state(supply):

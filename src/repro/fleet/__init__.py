@@ -6,15 +6,13 @@ simulation:
 
 * :mod:`repro.fleet.spec` -- declarative :class:`FleetSpec` (JSON-loadable,
   mirroring campaign specs) with generators for heterogeneous populations;
-* :mod:`repro.fleet.device` -- materialization with shared compiled builds
-  and cheaply re-seeded per-device supplies;
-* :mod:`repro.fleet.scheduler` -- a logical-time scheduler advancing many
-  machines in tau order;
+* :mod:`repro.fleet.device` -- materialization: shared environments and
+  cheaply re-seeded per-device supplies, for both executors;
 * :mod:`repro.fleet.aggregate` -- streaming, mergeable, byte-deterministic
   aggregates (violation rates, staleness/consistency histograms, duty
   cycles) that never materialize per-activation results;
-* :mod:`repro.fleet.engine` -- the serial reference executor, plus
-  checkpoint/resume so long runs split across invocations;
+* :mod:`repro.fleet.engine` -- the serial reference executor (one device
+  at a time, each to exhaustion), plus checkpoint/resume so long runs split across invocations;
 * :mod:`repro.fleet.vector` -- the vectorized executor: activation
   memoization with quantized supply keys, cohort wave batching over
   same-class devices, a batched miss driver, and an optional fork pool
@@ -27,7 +25,7 @@ Entry point: ``python -m repro fleet SPEC.json --devices N --executor vector``.
 """
 
 from repro.fleet.aggregate import ClassAggregate, FleetAggregator
-from repro.fleet.device import DeviceFactory, FleetDevice
+from repro.fleet.device import DeviceBuilder
 from repro.fleet.engine import (
     AGGREGATE_PARITY_SCHEME,
     FleetCheckpoint,
@@ -52,7 +50,6 @@ from repro.fleet.report import (
     fleet_table,
     histogram_table,
 )
-from repro.fleet.scheduler import FleetScheduler
 from repro.fleet.spec import DeviceClass, DeviceSpec, FleetError, FleetSpec
 
 __all__ = [
@@ -60,8 +57,7 @@ __all__ = [
     "ActivationMemo",
     "ClassAggregate",
     "FleetAggregator",
-    "DeviceFactory",
-    "FleetDevice",
+    "DeviceBuilder",
     "FleetCheckpoint",
     "FleetResult",
     "MemoStore",
@@ -78,7 +74,6 @@ __all__ = [
     "duty_table",
     "fleet_table",
     "histogram_table",
-    "FleetScheduler",
     "DeviceClass",
     "DeviceSpec",
     "FleetError",

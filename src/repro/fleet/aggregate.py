@@ -1,12 +1,13 @@
 """Streaming fleet aggregation: fixed-size state, any number of devices.
 
 A million-activation fleet run cannot keep per-activation results in
-memory; the aggregator consumes the scheduler's event stream one record
+memory; the aggregator consumes each device's activation records one
 at a time and retains only integer counters and fixed-width histograms
 per device class.  Every field is an integer and every operation is a
 sum, which buys three properties at once:
 
-* **order independence** -- serial tau-order interleaving and pooled
+* **order independence** -- the serial executor's device-by-device
+  stream, the vector executor's per-wave cohort folds, and pooled
   per-process runs fold the same records in different orders into the
   same state;
 * **mergeability** -- shard aggregates combine with ``merge`` (used by
@@ -225,7 +226,7 @@ class FleetAggregator:
         agg.devices += count
 
     def observe(self, spec, record) -> None:
-        """The scheduler sink: fold one activation of one device."""
+        """Fold one activation of one device."""
         self._class(spec.class_name, spec.app, spec.config).observe(record)
 
     def observe_many(self, spec, record, count: int) -> None:

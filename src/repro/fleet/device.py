@@ -1,70 +1,64 @@
-"""Device materialization: from declarative :class:`DeviceSpec` to a
-runnable :class:`FleetDevice`.
+"""Device materialization: the environment and supply a device runs on.
 
-Builds are shared: every device of a class resolves its program through
+Both fleet executors build devices here, so what a :class:`DeviceSpec`
+means physically is decided in one place.  Environments are pure
+functions of (app, env seed, overrides, phase), so devices that agree on
+those share one.  Supplies are shared *structurally*: one prototype is
+built per distinct supply spec and then :meth:`spawn`-ed per device,
+which re-derives only the RNG streams -- the cheap per-device
+re-seeding path the energy layer provides.  Compiled programs come from
 the process-wide compile cache, so a thousand identical tire monitors
-cost one compile.  Supplies are shared *structurally*: one prototype
-supply is built per distinct supply shape and then :meth:`spawn`-ed per
-device, which re-derives only the RNG streams -- the cheap per-device
-re-seeding path the energy layer provides.
+cost one compile.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from repro.apps import BENCHMARKS
-from repro.core.cache import GLOBAL_CACHE
 from repro.eval.campaign import SupplySpec
 from repro.fleet.spec import DeviceSpec
-from repro.runtime.engine import ENGINE_FAST
-from repro.runtime.harness import ActivationStepper
 from repro.runtime.supply import PowerSupply
+from repro.sensors.environment import Environment, bind_signal_specs
 
 
-@dataclass
-class FleetDevice:
-    """One materialized device: its spec plus a resumable activation loop."""
+class DeviceEnv(NamedTuple):
+    """A device's environment, with its sharing key and exact period."""
 
-    spec: DeviceSpec
-    stepper: ActivationStepper
+    key: tuple
+    env: Environment
+    period: Optional[int]
 
 
-class DeviceFactory:
-    """Builds devices, reusing compiled programs and supply prototypes.
+class DeviceBuilder:
+    """Maps device specs to environments and spawned supplies.
 
-    One factory lives per worker process (or per serial run); its caches
-    are keyed by value (benchmark name, config name, supply spec), so two
-    factories in different processes materialize identical devices.
+    One builder lives per executor; its caches are keyed by value, so
+    builders in different processes materialize identical devices.
     """
 
-    def __init__(self, engine: str = ENGINE_FAST) -> None:
-        self.engine = engine
-        self._supply_protos: dict[SupplySpec, PowerSupply] = {}
+    def __init__(self) -> None:
+        self._prototypes: dict[SupplySpec, PowerSupply] = {}
+        self._envs: dict[tuple, DeviceEnv] = {}
 
-    def _make_supply(self, spec: DeviceSpec) -> PowerSupply:
-        proto = self._supply_protos.get(spec.supply)
+    def env(self, spec: DeviceSpec) -> DeviceEnv:
+        key = (spec.app, spec.env_seed, spec.env_overrides, spec.phase)
+        cached = self._envs.get(key)
+        if cached is None:
+            env = BENCHMARKS[spec.app].env_factory(spec.env_seed)
+            if spec.env_overrides:
+                bind_signal_specs(env, spec.env_overrides)
+            env = env.shifted(spec.phase)
+            cached = self._envs[key] = DeviceEnv(key, env, env.period())
+        return cached
+
+    def prototype(self, spec: DeviceSpec) -> PowerSupply:
+        """The shared, never-run supply built from ``spec``'s supply spec."""
+        proto = self._prototypes.get(spec.supply)
         if proto is None:
-            proto = spec.supply.build(0)
-            self._supply_protos[spec.supply] = proto
-        return proto.spawn(spec.seed + spec.supply.seed_offset)
+            proto = self._prototypes[spec.supply] = spec.supply.build(0)
+        return proto
 
-    def build(self, spec: DeviceSpec) -> FleetDevice:
-        meta = BENCHMARKS[spec.app]
-        compiled = GLOBAL_CACHE.get_or_compile(meta.source, spec.config)
-        env = meta.env_factory(spec.env_seed)
-        if spec.env_overrides:
-            from repro.sensors.environment import bind_signal_specs
-
-            bind_signal_specs(env, spec.env_overrides)
-        env = env.shifted(spec.phase)
-        stepper = ActivationStepper(
-            compiled,
-            env,
-            self._make_supply(spec),
-            budget_cycles=spec.budget_cycles,
-            costs=meta.cost_model(),
-            max_activations=spec.max_activations,
-            engine=self.engine,
-        )
-        return FleetDevice(spec=spec, stepper=stepper)
+    def supply(self, spec: DeviceSpec) -> PowerSupply:
+        """A fresh supply on the device's own RNG streams."""
+        return self.prototype(spec).spawn(spec.seed + spec.supply.seed_offset)

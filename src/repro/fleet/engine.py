@@ -5,8 +5,8 @@ The engine turns a :class:`FleetSpec` into an aggregate:
 1. expand the spec into per-device :class:`DeviceSpec` rows (pure data);
 2. precompile every (app, config) build once into the shared cache;
 3. hand device batches to an executor -- :class:`SerialFleetExecutor`
-   runs one tau-ordered scheduler over the batch in-process and is the
-   reference; :class:`~repro.fleet.vector.VectorFleetExecutor` runs the
+   runs each device to exhaustion, one after another, in-process and is
+   the reference; :class:`~repro.fleet.vector.VectorFleetExecutor` runs the
    memoized cohort engine, in-process or on a fork pool.  Aggregation
    is commutative integer summation, so both executors produce
    **bit-identical** aggregates;
@@ -30,10 +30,10 @@ from repro.apps import BENCHMARKS
 from repro.core.cache import GLOBAL_CACHE
 from repro.eval.report import Table
 from repro.fleet.aggregate import FleetAggregator
-from repro.fleet.device import DeviceFactory
-from repro.fleet.scheduler import FleetScheduler
+from repro.fleet.device import DeviceBuilder
 from repro.fleet.spec import DeviceSpec, FleetError, FleetSpec
 from repro.runtime.engine import ENGINE_FAST
+from repro.runtime.harness import iter_activations
 from repro.telemetry.trace import span as _span
 
 
@@ -42,17 +42,26 @@ def run_shard(
 ) -> FleetAggregator:
     """Run one batch of devices to exhaustion; the serial work unit.
 
-    Materializes the batch through one :class:`DeviceFactory` (shared
-    builds, spawned supplies), schedules it in tau order, and streams
-    every activation into a fresh aggregator.
+    Devices share nothing, so each runs alone, one after another: its
+    environment and spawned supply come from one :class:`DeviceBuilder`,
+    and every activation streams into a fresh aggregator.
     """
-    factory = DeviceFactory(engine=engine)
+    builder = DeviceBuilder()
     aggregator = FleetAggregator()
-    materialized = []
     for spec in devices:
         aggregator.add_device(spec)
-        materialized.append(factory.build(spec))
-    FleetScheduler(materialized).run(aggregator.observe)
+        meta = BENCHMARKS[spec.app]
+        records = iter_activations(
+            GLOBAL_CACHE.get_or_compile(meta.source, spec.config),
+            builder.env(spec).env,
+            builder.supply(spec),
+            spec.budget_cycles,
+            costs=meta.cost_model(),
+            max_activations=spec.max_activations,
+            engine=engine,
+        )
+        for record in records:
+            aggregator.observe(spec, record)
     return aggregator
 
 
@@ -65,7 +74,7 @@ class FleetExecutor(Protocol):
 
 
 class SerialFleetExecutor:
-    """One scheduler over the whole batch, in-process."""
+    """The whole batch in-process, one device at a time."""
 
     name = "serial"
 
@@ -84,31 +93,20 @@ def make_fleet_executor(
     processes: Optional[int] = None,
     engine: str = ENGINE_FAST,
     memo_dir: Optional[Path | str] = None,
-    supply_buckets: Optional[int] = None,
 ) -> FleetExecutor:
     if name == "vector":
-        from repro.fleet.vector import DEFAULT_SUPPLY_BUCKETS, VectorFleetExecutor
+        from repro.fleet.vector import VectorFleetExecutor
 
         return VectorFleetExecutor(
-            engine=engine,
-            memo_dir=memo_dir,
-            supply_buckets=(
-                supply_buckets
-                if supply_buckets is not None
-                else DEFAULT_SUPPLY_BUCKETS
-            ),
-            processes=processes,
+            engine=engine, memo_dir=memo_dir, processes=processes
         )
     if name != "serial":
         raise FleetError(f"unknown fleet executor '{name}' (serial | vector)")
     # The vector-only knobs silently doing nothing on the serial oracle
     # would read as "persistence is on" or "running on N cores" when it
     # is not.
-    if memo_dir is not None or supply_buckets is not None:
-        raise FleetError(
-            "--memo-dir / --supply-buckets require the vector executor, "
-            "not 'serial'"
-        )
+    if memo_dir is not None:
+        raise FleetError("--memo-dir requires the vector executor, not 'serial'")
     if processes is not None and processes > 1:
         raise FleetError(
             f"--jobs {processes} requires the vector executor; "
@@ -288,7 +286,6 @@ def run_fleet(
     checkpoint_every: Optional[int] = None,
     engine: str = ENGINE_FAST,
     memo_dir: Optional[Path | str] = None,
-    supply_buckets: Optional[int] = None,
 ) -> FleetResult:
     """Run (or resume) a whole fleet and aggregate it.
 
@@ -299,27 +296,24 @@ def run_fleet(
     fingerprint does not match ``spec`` is an error, not a silent
     restart.
 
+    ``executor`` names an executor (default ``"serial"``) or is one.
     ``memo_dir`` backs the vector executor's activation memo with a
-    persistent on-disk store and ``supply_buckets`` tunes its quantized
-    supply keys; both require ``executor`` to name the vector family.
-    ``processes`` > 1 runs the vector executor on that many worker
-    processes; the serial executor rejects it.
+    persistent on-disk store; ``processes`` > 1 runs the vector executor
+    on that many worker processes.  Both configure a *named* executor:
+    the serial executor rejects them, and so does an executor instance,
+    which carries its own configuration.
     """
-    if memo_dir is not None or supply_buckets is not None:
-        if not isinstance(executor, str) or executor != "vector":
-            raise FleetError(
-                "memo_dir / supply_buckets require executor='vector' "
-                "(pass a configured VectorFleetExecutor instance otherwise)"
-            )
-    if executor is None:
-        executor = SerialFleetExecutor(engine=engine)
-    elif isinstance(executor, str):
+    if executor is None or isinstance(executor, str):
         executor = make_fleet_executor(
-            executor,
+            executor or "serial",
             processes=processes,
             engine=engine,
             memo_dir=memo_dir,
-            supply_buckets=supply_buckets,
+        )
+    elif processes is not None or memo_dir is not None:
+        raise FleetError(
+            "processes / memo_dir configure a named executor; pass them "
+            f"to the {type(executor).__name__} instance instead"
         )
     if checkpoint_every is not None and checkpoint_every <= 0:
         raise FleetError("checkpoint_every must be positive")

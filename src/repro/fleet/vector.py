@@ -5,7 +5,7 @@ work is redundant: devices of one class share a compiled program, and an
 activation's outcome is a pure function of its resume-point state --
 nonvolatile memory, supply state, and the environment's behavior from
 the start time (the observation behind the formal treatment in
-Surbatovich et al.).  This executor exploits that in four layers:
+Surbatovich et al.).  This executor exploits that in five layers:
 
 * **Activation memoization** (:class:`ActivationMemo`).  Every executed
   activation is cached under a key built from equivalence *tokens*:
@@ -18,7 +18,7 @@ Surbatovich et al.).  This executor exploits that in four layers:
   (:mod:`repro.energy.segments`).  A hit replays the cached
   :class:`~repro.runtime.harness.ActivationRecord`, time delta, and
   post-states without stepping a single instruction.  The memo is
-  LRU-bounded (entry count, optionally bytes) and can persist to a
+  LRU-bounded by entry count and can persist to a
   content-addressed on-disk store (:mod:`repro.fleet.memostore`) keyed
   under the program fingerprint and aggregate-parity scheme, so re-runs
   and resumed checkpoints start warm.
@@ -26,8 +26,9 @@ Surbatovich et al.).  This executor exploits that in four layers:
 * **Quantized supply keys** (:class:`QuantEntry`).  Exact supply tokens
   make every key unique on jittered fleets (per-device harvest rates
   and RNG stream positions).  Stochastic energy-driven supplies instead
-  key on the capacitor geometry plus a configurable charge *bucket*,
-  excluding everything per-device.  The bucketed key is paired with a
+  key on the capacitor geometry plus a charge *bucket*
+  (:data:`SUPPLY_BUCKETS` per capacity), excluding everything
+  per-device.  The bucketed key is paired with a
   replay gate that keeps it exact: an entry is stored only for a
   reboot-free activation and records the charge level it executed at; a
   hit replays only for devices at or above that level.  A reboot-free
@@ -55,16 +56,16 @@ Surbatovich et al.).  This executor exploits that in four layers:
 
 * **Batched miss path** (:class:`_MissBatch`).  Misses within a class
   batch run through one driver holding the shared decoded program, cost
-  model, and detector plan; it drives the machine directly (no
-  per-activation stepper object), reuses the codec's preallocated
+  model, and detector plan; it drives the machine directly from a
+  tokenized resume state, reuses the codec's preallocated
   struct-of-arrays NV buffers (:class:`NVCodec`), and folds each wave's
-  records through one ``observe_many``-style sink.  Devices whose
-  supply goes opaque mid-run fall back to the scalar
-  :class:`~repro.runtime.harness.ActivationStepper`.
+  records through one ``observe_many``-style sink.
 
-Soundness: tokens are conservative.  A supply without memo hooks, an
-aperiodic environment, an unencodable nonvolatile state -- each only
-*loses cache hits*; it never manufactures a false equivalence.  The
+Soundness: tokens are conservative.  An aperiodic environment or an
+unencodable nonvolatile state only *loses cache hits*; it never
+manufactures a false equivalence.  A supply without memo hooks has no
+token at all and is a :class:`~repro.fleet.spec.FleetError` here (run
+it on the serial executor), so it can never share a key.  The
 aggregate is commutative integer summation, so the vectorized fold is
 byte-identical to the serial executor, pooled or not (property-tested in
 ``tests/test_fleet_vector.py``, including bucketed hits and warm
@@ -89,24 +90,23 @@ from repro.energy.segments import (
     capture_supply_state,
     restore_supply_state,
     supply_memo_token,
+    supply_quantum,
 )
-from repro.eval.campaign import SupplySpec
 from repro.fleet.aggregate import FleetAggregator
+from repro.fleet.device import DeviceBuilder
 from repro.fleet.memostore import MEMO_SCHEMA, MemoStore
-from repro.fleet.spec import DeviceSpec
+from repro.fleet.spec import DeviceSpec, FleetError
 from repro.runtime.engine import ENGINE_FAST, create_machine
 from repro.runtime.executor import NVState
 from repro.runtime.detector import BitVector
-from repro.runtime.harness import ActivationRecord, ActivationStepper
-from repro.sensors.environment import bind_signal_specs
-from repro.runtime.supply import PowerSupply
+from repro.runtime.harness import ActivationRecord
 from repro.telemetry.trace import span as _span
 
 
-#: Default number of charge buckets spanning a capacitor's capacity for
+#: Number of charge buckets spanning a capacitor's capacity for
 #: quantized supply keys.  Coarser (fewer) buckets collapse more devices
 #: onto one key; the replay gate keeps any granularity exact.
-DEFAULT_SUPPLY_BUCKETS = 32
+SUPPLY_BUCKETS = 32
 
 #: Fewest devices a pool worker is dealt.  Batches too small to give
 #: every worker this many use fewer workers, down to the in-process
@@ -336,11 +336,8 @@ class _MissBatch:
 
     Holds the batch's shared decoded program, cost model, detector
     plan, and NV codec once; every miss drives the machine directly
-    instead of building a per-activation
-    :class:`~repro.runtime.harness.ActivationStepper`, and post-state
-    tokenization reuses the codec's preallocated buffers.  Devices that
-    diverge into opaque supply state mid-wave fall back to the scalar
-    stepper (:meth:`stepper`).
+    from a tokenized resume state, and post-state tokenization reuses
+    the codec's preallocated buffers.
     """
 
     __slots__ = ("compiled", "costs", "plan", "engine", "codec")
@@ -364,36 +361,8 @@ class _MissBatch:
             nv=materialize_nv(nv_ref),
             start_tau=tau,
         )
-        result = machine.run()
-        kinds = [v.kind for v in result.trace.violations]
-        record = ActivationRecord(
-            index=index,
-            completed=result.stats.completed,
-            violations=result.stats.violations,
-            cycles_on=result.stats.cycles_on,
-            cycles_off=result.stats.cycles_off,
-            reboots=result.stats.reboots,
-            fresh_violations=kinds.count("fresh"),
-            consistent_violations=kinds.count("consistent"),
-            detector_queries=result.detector_queries,
-        )
+        record = ActivationRecord.from_run(index, machine.run())
         return record, machine.tau - tau, self.codec.encode(machine.nv)
-
-    def stepper(self, spec, env, supply, nv, start_tau, start_index):
-        """Scalar fallback for devices pinned to real stepping."""
-        return ActivationStepper(
-            self.compiled,
-            env,
-            supply,
-            spec.budget_cycles,
-            costs=self.costs,
-            plan=self.plan,
-            max_activations=spec.max_activations,
-            nv=nv,
-            engine=self.engine,
-            start_tau=start_tau,
-            start_index=start_index,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -401,25 +370,21 @@ class _MissBatch:
 
 #: Sentinel: a uni cohort whose supply has never run (spawn, don't restore).
 _FRESH = object()
-#: Sentinel: a uni cohort whose supply token has not been computed yet.
-_UNSET = object()
 
 
 class _Cohort:
     """A set of devices in a provably identical situation.
 
     All members share logical time, activation index, nonvolatile
-    state, and supply equivalence; liveness (budget, activation cap,
-    stuckness) is all-or-nothing because those limits are uniform
-    within the cohort.  Three kinds:
+    state, and supply equivalence; liveness (budget, activation cap) is
+    all-or-nothing because those limits are uniform within the cohort,
+    and a stuck activation drops the whole cohort.  Two kinds:
 
     * ``uni`` -- exact supply-token equivalence (deterministic
       supplies): one shared capture, one representative executes.
     * ``quant`` -- bucketed equivalence (stochastic energy-driven
       supplies): members share the charge *bucket* but keep individual
       levels (a list) and lazily-materialized supply objects.
-    * ``mat`` -- a singleton pinned to a real scalar stepper (opaque
-      supply state).
     """
 
     __slots__ = (
@@ -427,7 +392,6 @@ class _Cohort:
         "positions",
         "tau",
         "index",
-        "stuck",
         "budget",
         "cap",
         "env_key",
@@ -443,8 +407,6 @@ class _Cohort:
         "bucket",
         "levels",
         "supplies",
-        # mat
-        "stepper",
     )
 
     def __init__(self, kind, positions, budget, cap, env_key, env, period, nv_ref):
@@ -452,26 +414,22 @@ class _Cohort:
         self.positions = positions
         self.tau = 0
         self.index = 0
-        self.stuck = False
         self.budget = budget
         self.cap = cap
         self.env_key = env_key
         self.env = env
         self.period = period
         self.nv_ref = nv_ref
-        self.stoken = _UNSET
+        self.stoken = None
         self.capture = _FRESH
         self.static = None
         self.bucket_size = 0
         self.bucket = 0
         self.levels = None
         self.supplies = None
-        self.stepper = None
 
     def alive(self) -> bool:
-        return (
-            not self.stuck and self.tau < self.budget and self.index < self.cap
-        )
+        return self.tau < self.budget and self.index < self.cap
 
     def time_token(self):
         """Period-quantized start time, absolute when taint forbids it."""
@@ -530,11 +488,8 @@ class VectorFleetExecutor:
         memo: Optional[ActivationMemo] = None,
         max_entries: int = 65_536,
         memo_dir: Optional[Path | str] = None,
-        supply_buckets: int = DEFAULT_SUPPLY_BUCKETS,
         processes: Optional[int] = None,
     ) -> None:
-        if supply_buckets < 0:
-            raise ValueError("supply_buckets must be >= 0 (0 disables)")
         if processes is not None and processes <= 0:
             raise ValueError("processes must be positive (or None)")
         self.engine = engine
@@ -542,12 +497,10 @@ class VectorFleetExecutor:
         #: path that ran the last batch: "vector" or "vector-pool"
         self.used = "vector"
         self.memo = memo if memo is not None else ActivationMemo(max_entries)
-        self.supply_buckets = supply_buckets
         self.store = MemoStore(memo_dir) if memo_dir is not None else None
+        self.devices = DeviceBuilder()
         self._shard_tokens: dict = {}
         self._dirty: set = set()
-        self._supply_protos: dict[SupplySpec, PowerSupply] = {}
-        self._envs: dict = {}
         self._codecs: dict = {}
         self._initials: dict = {}
 
@@ -556,25 +509,6 @@ class VectorFleetExecutor:
     def memo_stats(self) -> dict:
         """Hit/miss accounting for reports and benchmarks."""
         return self.memo.stats.to_dict(entries=len(self.memo))
-
-    def _spawn_supply(self, spec: DeviceSpec) -> PowerSupply:
-        proto = self._supply_protos.get(spec.supply)
-        if proto is None:
-            proto = spec.supply.build(0)
-            self._supply_protos[spec.supply] = proto
-        return proto.spawn(spec.seed + spec.supply.seed_offset)
-
-    def _env(self, spec: DeviceSpec):
-        """(env_key, env, period) for ``spec``; envs are pure, so shared."""
-        key = (spec.app, spec.env_seed, spec.env_overrides, spec.phase)
-        cached = self._envs.get(key)
-        if cached is None:
-            env = BENCHMARKS[spec.app].env_factory(spec.env_seed)
-            if spec.env_overrides:
-                bind_signal_specs(env, spec.env_overrides)
-            env = env.shifted(spec.phase)
-            cached = self._envs[key] = (key, env, env.period())
-        return cached
 
     def _codec(self, spec: DeviceSpec, compiled, plan):
         key = (spec.app, spec.config)
@@ -586,25 +520,20 @@ class VectorFleetExecutor:
             )
         return codec, self._initials[key]
 
-    def _supply_mode(self, sspec) -> str:
-        """How a class's supplies group: uni / quant / exact.
+    @staticmethod
+    def _quantized(sspec) -> bool:
+        """Whether a supply spec's devices group by charge bucket.
 
-        ``uni`` needs spawn-equivalence across per-device seeds, which
-        is provable for our own spec kinds: continuous and schedule
-        supplies are seed-invariant, and a harvest supply with
-        degenerate jitter and boot band excludes every RNG from its
-        token.  Stochastic harvest supplies quantize (unless bucketing
-        is disabled); anything unrecognized degrades to per-device
-        exact tokens -- conservative, never wrong.
+        The alternative, exact-token grouping, needs spawn-equivalence
+        across per-device seeds, which is provable for our own spec
+        kinds: continuous and schedule supplies are seed-invariant, and
+        a harvest supply with degenerate jitter and boot band excludes
+        every RNG from its token.  Stochastic harvest supplies quantize.
         """
-        if not isinstance(sspec, SupplySpec):
-            return "exact"
         if sspec.kind != "harvest":
-            return "uni"
+            return False
         lo, hi = sspec.boot_fraction
-        if sspec.harvest_spread == 1.0 and hi <= lo:
-            return "uni"
-        return "quant" if self.supply_buckets > 0 else "exact"
+        return not (sspec.harvest_spread == 1.0 and hi <= lo)
 
     # -- persistent shards ---------------------------------------------------
 
@@ -688,11 +617,7 @@ class VectorFleetExecutor:
         configs = tuple(
             get_config(name) for name in sorted({c for _, c in programs})
         )
-        worker = VectorFleetExecutor(
-            engine=self.engine,
-            memo=self.memo,
-            supply_buckets=self.supply_buckets,
-        )
+        worker = VectorFleetExecutor(engine=self.engine, memo=self.memo)
         shares = [tuple(devices[i::workers]) for i in range(workers)]
         ctx = _pool_context()
         with ctx.Pool(
@@ -748,17 +673,7 @@ class VectorFleetExecutor:
             groups: dict = {}
             next_cohorts: list[_Cohort] = []
             for c in live:
-                if c.kind == "mat":
-                    self._step_mat(c, sink)
-                    next_cohorts.append(c)
-                    continue
                 if c.kind == "uni":
-                    if c.stoken is _UNSET:
-                        c = self._resolve_uni(c, specs, driver)
-                        if c.kind == "mat":
-                            self._step_mat(c, sink)
-                            next_cohorts.append(c)
-                            continue
                     gkey = (
                         "u",
                         c.env_key,
@@ -802,14 +717,12 @@ class VectorFleetExecutor:
     ) -> list[_Cohort]:
         cohorts: dict = {}
         order: list[_Cohort] = []
+        devices = self.devices
         for pos, spec in enumerate(specs):
-            env_key, env, period = self._env(spec)
-            mode = self._supply_mode(spec.supply)
-            if mode == "quant":
-                static = (
-                    "energyq",
-                    spec.supply.capacity,
-                    spec.supply.low_threshold,
+            env_key, env, period = devices.env(spec)
+            if self._quantized(spec.supply):
+                static, full = _memo_token(
+                    supply_quantum(devices.prototype(spec)), spec
                 )
                 ckey = (
                     "q",
@@ -818,7 +731,7 @@ class VectorFleetExecutor:
                     spec.max_activations,
                     static,
                 )
-            elif mode == "uni":
+            else:
                 ckey = (
                     "u",
                     env_key,
@@ -826,13 +739,10 @@ class VectorFleetExecutor:
                     spec.max_activations,
                     spec.supply,
                 )
-            else:
-                ckey = ("x", pos)
             cohort = cohorts.get(ckey)
             if cohort is None:
-                kind = "quant" if mode == "quant" else "uni"
                 cohort = _Cohort(
-                    kind,
+                    "quant" if ckey[0] == "q" else "uni",
                     [],
                     spec.budget_cycles,
                     spec.max_activations,
@@ -841,53 +751,27 @@ class VectorFleetExecutor:
                     period,
                     init_ref,
                 )
-                if kind == "quant":
-                    cohort.static = ckey[4]
+                if cohort.kind == "quant":
+                    # A fresh supply is fully charged: ``full`` is every
+                    # member's starting level and the span the buckets
+                    # divide.
+                    cohort.static = static
+                    cohort.bucket_size = max(1, full // SUPPLY_BUCKETS)
+                    cohort.bucket = full // cohort.bucket_size
+                    cohort.levels = []
+                    cohort.supplies = []
+                else:
+                    # Spawn-equivalence: one member's token is everyone's.
+                    cohort.stoken = _memo_token(
+                        supply_memo_token(devices.supply(spec)), spec
+                    )
                 cohorts[ckey] = cohort
                 order.append(cohort)
             cohort.positions.append(pos)
-        for cohort in order:
             if cohort.kind == "quant":
-                capacity = cohort.static[1]
-                cohort.bucket_size = max(
-                    1, capacity // max(1, self.supply_buckets)
-                )
-                cohort.bucket = capacity // cohort.bucket_size
-                cohort.levels = [capacity] * len(cohort.positions)
-                cohort.supplies = [None] * len(cohort.positions)
+                cohort.levels.append(full)
+                cohort.supplies.append(None)
         return order
-
-    def _resolve_uni(
-        self, cohort: _Cohort, specs: list[DeviceSpec], driver: _MissBatch
-    ) -> _Cohort:
-        """Compute a cold uni cohort's supply token with one probe spawn.
-
-        An opaque token (no memo hooks) pins every member to the scalar
-        stepper; callers get back either the same cohort (token set) or
-        a replacement ``mat`` cohort (singletons only reach this path
-        opaque, because grouping by spec proved nothing about them).
-        """
-        spec = specs[cohort.positions[0]]
-        supply = self._spawn_supply(spec)
-        token = supply_memo_token(supply)
-        if token is not None:
-            cohort.stoken = token
-            return cohort
-        assert len(cohort.positions) == 1, "opaque supply in a shared cohort"
-        mat = _Cohort(
-            "mat",
-            cohort.positions,
-            cohort.budget,
-            cohort.cap,
-            cohort.env_key,
-            cohort.env,
-            cohort.period,
-            cohort.nv_ref,
-        )
-        mat.stepper = driver.stepper(
-            spec, cohort.env, supply, materialize_nv(cohort.nv_ref), 0, 0
-        )
-        return mat
 
     # -- wave processing -----------------------------------------------------
 
@@ -898,7 +782,7 @@ class VectorFleetExecutor:
         entry = self.memo.get(mkey)
         if entry is None:
             spec = specs[rep.positions[0]]
-            supply = self._spawn_supply(spec)
+            supply = self.devices.supply(spec)
             if rep.capture is not _FRESH:
                 restore_supply_state(supply, rep.capture)
             record, tau_delta, post_nv = driver.run(
@@ -908,7 +792,7 @@ class VectorFleetExecutor:
                 record=record,
                 tau_delta=tau_delta,
                 post_nv=post_nv,
-                post_supply_token=supply_memo_token(supply),
+                post_supply_token=_memo_token(supply_memo_token(supply), spec),
                 post_supply_capture=capture_supply_state(supply),
             )
             self.memo.put(mkey, entry)
@@ -918,48 +802,14 @@ class VectorFleetExecutor:
         else:
             self.memo.stats.hits += members
         _sink(sink, entry.record, members)
-        new_tau = rep.tau + entry.tau_delta
-        new_index = rep.index + 1
         if not entry.record.completed:
             return []  # every member is stuck; records already folded
-        if entry.post_supply_token is None:
-            # Post-state supply became opaque: pin each member to a real
-            # stepper from here on (the scalar fallback path).
-            if new_tau >= rep.budget or new_index >= rep.cap:
-                return []
-            out = []
-            for c in cs:
-                for pos in c.positions:
-                    supply = self._spawn_supply(specs[pos])
-                    restore_supply_state(supply, entry.post_supply_capture)
-                    mat = _Cohort(
-                        "mat",
-                        [pos],
-                        c.budget,
-                        c.cap,
-                        c.env_key,
-                        c.env,
-                        c.period,
-                        entry.post_nv,
-                    )
-                    mat.tau = new_tau
-                    mat.index = new_index
-                    mat.stepper = driver.stepper(
-                        specs[pos],
-                        c.env,
-                        supply,
-                        materialize_nv(entry.post_nv),
-                        new_tau,
-                        new_index,
-                    )
-                    out.append(mat)
-            return out
         if len(cs) > 1:
             positions = rep.positions
             for c in cs[1:]:
                 positions.extend(c.positions)
-        rep.tau = new_tau
-        rep.index = new_index
+        rep.tau += entry.tau_delta
+        rep.index += 1
         rep.nv_ref = entry.post_nv
         rep.stoken = entry.post_supply_token
         rep.capture = entry.post_supply_capture
@@ -1009,7 +859,7 @@ class VectorFleetExecutor:
                     continue
                 supply = supplies[i]
                 if supply is None:
-                    supply = self._spawn_supply(specs[pos])
+                    supply = self.devices.supply(specs[pos])
                 # Bucketed replays track levels outside the supply
                 # object; re-sync before real execution.
                 supply.capacitor.level = level
@@ -1093,21 +943,27 @@ class VectorFleetExecutor:
         cohort.levels.append(level)
         cohort.supplies.append(supply)
 
-    def _step_mat(self, cohort: _Cohort, sink) -> None:
-        record = cohort.stepper.step()
-        assert record is not None, "cohort liveness disagrees with stepper"
-        cohort.tau = cohort.stepper.tau
-        cohort.index += 1
-        if not record.completed:
-            cohort.stuck = True
-        _sink(sink, record, 1)
-
     @staticmethod
     def _flush_sink(sink: dict, spec: DeviceSpec, aggregator) -> None:
         """One ``observe_many`` per distinct record content per wave."""
         for record, count in sink.values():
             aggregator.observe_many(spec, record, count)
         sink.clear()
+
+
+def _memo_token(token, spec: DeviceSpec):
+    """``token``, or a :class:`FleetError` when it is ``None``.
+
+    A supply without memo hooks has no token; keying it as ``None``
+    would let unrelated opaque supplies share memo entries.
+    """
+    if token is None:
+        raise FleetError(
+            f"device '{spec.device_id}': supply '{spec.supply.name}' has "
+            "no memo token, so the vector executor cannot key it; run it "
+            "on the serial executor"
+        )
+    return token
 
 
 def _sink(sink: dict, record, count: int) -> None:

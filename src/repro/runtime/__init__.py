@@ -34,7 +34,7 @@ from repro.runtime.harness import (
     ActivationRecord,
     ActivationsResult,
     ActivationsSummary,
-    ActivationStepper,
+    iter_activations,
     run_activations,
     run_continuous,
     run_once,
@@ -100,7 +100,7 @@ __all__ = [
     "ActivationRecord",
     "ActivationsResult",
     "ActivationsSummary",
-    "ActivationStepper",
+    "iter_activations",
     "run_activations",
     "run_continuous",
     "run_once",

@@ -9,12 +9,14 @@ The evaluation needs three run modes:
   state and one energy supply for a fixed logical-time budget (Figure 8
   and Table 2b: "we ran each benchmark for a fixed time ... and recorded
   the percentage of complete runs that contained a policy violation").
+  Its loop is :func:`iter_activations`, which the serial fleet executor
+  also runs once per device.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.core.pipeline import CompiledProgram
 from repro.energy.costs import DEFAULT_COSTS, CostModel
@@ -92,6 +94,22 @@ class ActivationRecord:
     @property
     def violating(self) -> bool:
         return self.violations > 0
+
+    @classmethod
+    def from_run(cls, index: int, run: RunResult) -> "ActivationRecord":
+        """The record of activation ``index``, which produced ``run``."""
+        kinds = [v.kind for v in run.trace.violations]
+        return cls(
+            index=index,
+            completed=run.stats.completed,
+            violations=run.stats.violations,
+            cycles_on=run.stats.cycles_on,
+            cycles_off=run.stats.cycles_off,
+            reboots=run.stats.reboots,
+            fresh_violations=kinds.count("fresh"),
+            consistent_violations=kinds.count("consistent"),
+            detector_queries=run.detector_queries,
+        )
 
 
 @dataclass
@@ -171,97 +189,46 @@ class ActivationsSummary:
         )
 
 
-class ActivationStepper:
-    """A device's activation loop as a resumable stream.
+def iter_activations(
+    compiled: CompiledProgram,
+    env: Environment,
+    supply: PowerSupply,
+    budget_cycles: int,
+    costs: CostModel = DEFAULT_COSTS,
+    plan: Optional[DetectorPlan] = None,
+    max_activations: int = 100_000,
+    config: Optional[MachineConfig] = None,
+    engine: str = ENGINE_FAST,
+) -> Iterator[ActivationRecord]:
+    """One device's activation loop, one record per activation of ``main``.
 
-    One stepper owns everything that persists across activations of one
-    device: nonvolatile memory, the power supply, and the logical clock.
-    ``step`` runs exactly one activation of ``main`` and reports it as an
-    :class:`ActivationRecord`; the stepper is ``exhausted`` once the
-    logical-time budget runs out, the activation cap is hit, or an
-    activation gets stuck (a region larger than the energy budget).
-
-    :func:`run_activations` drives one stepper to exhaustion -- the
-    single-device experiments of Figure 8 / Table 2b.  The fleet
-    scheduler instead keeps thousands of steppers in a priority queue and
-    advances whichever device is earliest in logical time, which is why
-    stepping is factored out of the driving loop.
+    Nonvolatile memory, the supply, and the logical clock persist across
+    activations.  The stream ends once the logical-time budget runs out,
+    the activation cap is hit, or an activation gets stuck (a region
+    larger than the energy budget; its record is the last one yielded).
     """
-
-    def __init__(
-        self,
-        compiled: CompiledProgram,
-        env: Environment,
-        supply: PowerSupply,
-        budget_cycles: int,
-        costs: CostModel = DEFAULT_COSTS,
-        plan: Optional[DetectorPlan] = None,
-        max_activations: int = 100_000,
-        config: Optional[MachineConfig] = None,
-        nv: Optional[NVState] = None,
-        engine: str = ENGINE_FAST,
-        start_tau: int = 0,
-        start_index: int = 0,
-    ) -> None:
-        self._compiled = compiled
-        self._env = env
-        self._supply = supply
-        self._costs = costs
-        self._plan = _plan_for(compiled, plan)
-        self._budget = budget_cycles
-        self._max_activations = max_activations
-        self._config = config
-        self._engine = engine
-        self.nv = nv or NVState.initial(compiled.module)
-        # Mid-stream resume point: the vectorized fleet executor rebuilds
-        # a stepper around replayed (nv, supply, tau, index) state, so a
-        # device can switch between memo replay and real stepping without
-        # re-running its history.
-        self.tau = start_tau
-        self.index = start_index
-        self._stuck = False
-
-    @property
-    def exhausted(self) -> bool:
-        return (
-            self._stuck
-            or self.tau >= self._budget
-            or self.index >= self._max_activations
-        )
-
-    def step(self) -> Optional[ActivationRecord]:
-        """Run one activation; ``None`` once the stepper is exhausted."""
-        if self.exhausted:
-            return None
+    plan = _plan_for(compiled, plan)
+    nv = NVState.initial(compiled.module)
+    tau = 0
+    index = 0
+    while tau < budget_cycles and index < max_activations:
         machine = create_machine(
-            self._engine,
-            self._compiled,
-            self._env,
-            self._supply,
-            costs=self._costs,
-            plan=self._plan,
-            nv=self.nv,
-            start_tau=self.tau,
-            config=self._config,
+            engine,
+            compiled,
+            env,
+            supply,
+            costs=costs,
+            plan=plan,
+            nv=nv,
+            start_tau=tau,
+            config=config,
         )
-        run = machine.run()
-        self.tau = machine.tau
-        kinds = [v.kind for v in run.trace.violations]
-        record = ActivationRecord(
-            index=self.index,
-            completed=run.stats.completed,
-            violations=run.stats.violations,
-            cycles_on=run.stats.cycles_on,
-            cycles_off=run.stats.cycles_off,
-            reboots=run.stats.reboots,
-            fresh_violations=kinds.count("fresh"),
-            consistent_violations=kinds.count("consistent"),
-            detector_queries=run.detector_queries,
-        )
-        self.index += 1
+        record = ActivationRecord.from_run(index, machine.run())
+        yield record
         if not record.completed:
-            self._stuck = True
-        return record
+            return
+        tau = machine.tau
+        index += 1
 
 
 def run_activations(
@@ -281,7 +248,8 @@ def run_activations(
     embedded ``while (1) main();`` deployment; the saved execution contexts
     reset per activation (each iteration is a fresh program entry).
     """
-    stepper = ActivationStepper(
+    result = ActivationsResult()
+    for record in iter_activations(
         compiled,
         env,
         supply,
@@ -291,9 +259,7 @@ def run_activations(
         max_activations=max_activations,
         config=config,
         engine=engine,
-    )
-    result = ActivationsResult()
-    while (record := stepper.step()) is not None:
+    ):
         result.records.append(record)
         result.total_cycles_on += record.cycles_on
         result.total_cycles_off += record.cycles_off

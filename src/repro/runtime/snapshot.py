@@ -133,7 +133,7 @@ def begin_activation(machine, trace: Optional[obs.Trace] = None) -> None:
 
     Equivalent to building a fresh machine over the same nonvolatile
     state, supply, and logical clock -- what
-    :class:`~repro.runtime.harness.ActivationStepper` does per
+    :func:`~repro.runtime.harness.iter_activations` does per
     activation -- without re-running machine construction: the frame
     stack restarts at ``main``, the saved contexts and the volatile
     hoist cache clear, and per-activation stats/trace reset.  ``tau``

@@ -168,7 +168,7 @@ def replay_schedule(
 ) -> ReplayResult:
     """Replay ``schedule`` activation by activation on a stock machine.
 
-    Mirrors :class:`~repro.runtime.harness.ActivationStepper`:
+    Mirrors :func:`~repro.runtime.harness.iter_activations`:
     nonvolatile memory, the supply, and logical time persist across
     activations; volatile state resets per activation.  This is the
     *production* replay path -- the explorer's own transitions are

@@ -45,8 +45,13 @@ def source_file(tmp_path):
 
 
 class TestCompile:
+    """Compiling a program and reading its results through ``build``."""
+
     def test_compile_default_ocelot(self, source_file, capsys):
-        assert main(["compile", source_file(ANNOTATED)]) == 0
+        code = main(
+            ["build", source_file(ANNOTATED), "--emit", "summary,regions"]
+        )
+        assert code == 0
         out = capsys.readouterr().out
         assert "checker     : PASS" in out
         assert "region " in out
@@ -54,18 +59,18 @@ class TestCompile:
     def test_compile_jit_reports_failures_but_exits_zero(
         self, source_file, capsys
     ):
-        assert main(["compile", source_file(ANNOTATED), "--config", "jit"]) == 0
+        assert main(["build", source_file(ANNOTATED), "--config", "jit"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" in out
 
     def test_compile_ir_dump(self, source_file, capsys):
-        main(["compile", source_file(ANNOTATED), "--ir"])
+        main(["build", source_file(ANNOTATED), "--emit", "ir"])
         out = capsys.readouterr().out
         assert "atomic_start" in out
         assert "annot fresh(t)" in out
 
     def test_compile_policies_dump(self, source_file, capsys):
-        main(["compile", source_file(ANNOTATED), "--policies"])
+        main(["build", source_file(ANNOTATED), "--emit", "policies"])
         out = capsys.readouterr().out
         assert "policy fresh@" in out
 
@@ -118,7 +123,7 @@ class TestBuild:
 
     def test_unknown_config_lists_registered_names(self, source_file):
         with pytest.raises(SystemExit) as excinfo:
-            main(["compile", source_file(ANNOTATED), "--config", "turbo"])
+            main(["build", source_file(ANNOTATED), "--config", "turbo"])
         message = str(excinfo.value)
         assert "unknown build configuration 'turbo'" in message
         assert "ocelot" in message and "jit" in message and "atomics" in message

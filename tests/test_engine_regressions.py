@@ -159,6 +159,26 @@ class TestVectorPool:
         # One process is what serial does anyway.
         assert run_fleet(self._spec(4), "serial", processes=1).devices == 4
 
+    def test_default_executor_rejects_jobs_and_memo_dir(self, tmp_path):
+        # No executor means serial, which must refuse vector-only knobs
+        # exactly as the named "serial" executor does.
+        with pytest.raises(FleetError, match="vector"):
+            run_fleet(self._spec(4), processes=2)
+        with pytest.raises(FleetError, match="vector"):
+            run_fleet(self._spec(4), memo_dir=tmp_path)
+        assert run_fleet(self._spec(4), processes=1).executor_used == "serial"
+
+    def test_executor_instance_rejects_jobs_and_memo_dir(self, tmp_path):
+        # An instance carries its own configuration; a knob beside it
+        # would be silently ignored.
+        from repro.fleet import SerialFleetExecutor
+
+        for executor in (SerialFleetExecutor(), VectorFleetExecutor()):
+            with pytest.raises(FleetError, match="instance"):
+                run_fleet(self._spec(4), executor, processes=2)
+            with pytest.raises(FleetError, match="instance"):
+                run_fleet(self._spec(4), executor, memo_dir=tmp_path)
+
 
 class TestSeedSchemeFingerprint:
     def test_checkpoint_fingerprint_binds_seed_scheme(self, monkeypatch):

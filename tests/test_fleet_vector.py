@@ -6,8 +6,9 @@ executor, in-process and on the worker pool (including under
 hypothesis-generated fleets, with quantized supply keys at aggressive
 bucket sizes and warm disk-backed memo runs), prove the memo key cannot
 produce false hits (perturbing one nonvolatile bit, one stored value,
-one taint, one environment segment, or one charge bucket changes the
-key), and check that the intended hits actually happen (a homogeneous
+one taint, or one environment segment changes the key; capacitor
+geometry separates quantized keys; a supply with no token is refused),
+and check that the intended hits actually happen (a homogeneous
 deterministic fleet replays almost everything; a jittered fleet scores
 nonzero hits via quantization).
 """
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.apps import BENCHMARKS
 from repro.core.cache import GLOBAL_CACHE
-from repro.energy.segments import quantized_supply_token, supply_memo_token
+from repro.energy.segments import supply_memo_token, supply_quantum
 from repro.eval.campaign import SupplySpec
 from repro.fleet import vector as vector_module
 from repro.fleet import (
@@ -44,7 +45,12 @@ from repro.fleet import (
 from repro.fleet.memostore import MEMO_SCHEMA
 from repro.ir.instructions import InstrId
 from repro.runtime.executor import NVState
-from repro.runtime.supply import FailurePoint, ScheduledFailures
+from repro.runtime.supply import (
+    ContinuousPower,
+    EnergyDrivenSupply,
+    FailurePoint,
+    ScheduledFailures,
+)
 from repro.runtime.values import InputEvent, TVal
 from repro.sensors.environment import Environment, constant, steps
 from tests.strategies import fleet_specs
@@ -193,6 +199,38 @@ class TestVectorParity:
         for run in runs:
             assert run.aggregate.to_json() == in_process.aggregate.to_json()
 
+    @pytest.mark.parametrize(
+        "spec, hook",
+        [
+            (
+                lambda: FleetSpec(
+                    classes=(
+                        DeviceClass(
+                            name="wall",
+                            app="tire",
+                            config="ocelot",
+                            count=3,
+                            supply=SupplySpec.continuous(),
+                        ),
+                    ),
+                    budget_cycles=5_000,
+                ),
+                (ContinuousPower, "memo_token"),
+            ),
+            (lambda: jittered_spec(count=3), (EnergyDrivenSupply, "memo_quantum")),
+        ],
+        ids=["exact-token", "quantum"],
+    )
+    def test_supply_without_memo_token_is_an_error(self, spec, hook):
+        # A tokenless supply keyed as None could share memo entries with
+        # unrelated supplies; the vector executor refuses it, while the
+        # serial oracle, which keys nothing, still runs it.
+        spec = spec()
+        with mock.patch.object(*hook, lambda self: None):
+            with pytest.raises(FleetError, match="no memo token"):
+                run_fleet(spec, "vector")
+            assert run_fleet(spec, "serial").devices == 3
+
     def test_memo_survives_chunking(self):
         # One executor over many chunks must equal one-shot execution:
         # entries learned in chunk k legally replay in chunk k+1.
@@ -318,55 +356,32 @@ class TestHitRates:
 class TestQuantizedSupplyTokens:
     """Soundness of bucketed supply keys (the no-false-hit contract)."""
 
-    @given(
-        level=st.integers(601, 3000),
-        delta=st.integers(-600, 600).filter(lambda d: d != 0),
-        bucket_size=st.sampled_from([1, 7, 75, 300, 1500]),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_bucket_crossing_perturbation_changes_key(
-        self, level, delta, bucket_size
-    ):
-        supply = _harvest_supply(seed=3)
-        supply.capacitor.level = level
-        baseline = quantized_supply_token(supply, bucket_size)
-        assert baseline is not None
-        supply.capacitor.level = level + delta
-        perturbed = quantized_supply_token(supply, bucket_size)
-        crosses = (level // bucket_size) != ((level + delta) // bucket_size)
-        if crosses:
-            assert perturbed != baseline
-        else:
-            assert perturbed == baseline
-
     def test_quantized_token_ignores_per_device_randomness(self):
         # Two devices with different seeds and harvest rates: exact
-        # tokens must differ (RNG streams diverge), quantized tokens at
-        # the same charge level must agree -- that is the whole point.
+        # tokens must differ (RNG streams diverge), quanta at the same
+        # charge level must agree -- that is the whole point.
         one = _harvest_supply(seed=1, rate=200)
         two = _harvest_supply(seed=2, rate=400)
         assert supply_memo_token(one) != supply_memo_token(two)
-        assert quantized_supply_token(one, 75) == quantized_supply_token(
-            two, 75
-        )
+        assert supply_quantum(one) == supply_quantum(two)
 
     def test_quantized_token_tracks_geometry(self):
-        # Same bucket index on different capacitor geometry must differ.
+        # The same charge level on different capacitor geometry must
+        # key differently: the static token carries the geometry.
         small = SupplySpec(name="a", capacity=2000, low_threshold=400)
         big = SupplySpec(name="b", capacity=4000, low_threshold=800)
         one = small.build(0).spawn(1)
         two = big.build(0).spawn(1)
         one.capacitor.level = two.capacitor.level = 1500
-        assert quantized_supply_token(one, 75) != quantized_supply_token(
-            two, 75
-        )
+        static_one, level_one = supply_quantum(one)
+        static_two, level_two = supply_quantum(two)
+        assert level_one == level_two == 1500
+        assert static_one != static_two
 
     def test_quantized_token_conservative_fallbacks(self):
-        supply = _harvest_supply()
-        assert quantized_supply_token(supply, 0) is None
-        from repro.runtime.supply import ContinuousPower
-
-        assert quantized_supply_token(ContinuousPower(), 75) is None
+        # Supplies without charge state have no quantum.
+        assert supply_quantum(ContinuousPower()) is None
+        assert supply_quantum(ScheduledFailures([], off_cycles=1)) is None
 
     @given(spec=fleet_specs(), buckets=st.sampled_from([1, 2, 5, 32, 500]))
     @settings(max_examples=10, deadline=None)
@@ -378,7 +393,8 @@ class TestQuantizedSupplyTokens:
         # bit-identical to real execution.
         devices = spec.expand()
         serial = run_shard(devices)
-        vector = VectorFleetExecutor(supply_buckets=buckets).run(devices)
+        with mock.patch.object(vector_module, "SUPPLY_BUCKETS", buckets):
+            vector = VectorFleetExecutor().run(devices)
         assert vector.to_json() == serial.to_json()
 
     def test_jittered_fleet_scores_nonzero_hits(self):
@@ -525,8 +541,6 @@ class TestPersistentMemo:
         spec = uniform_spec(count=2)
         with pytest.raises(FleetError, match="vector"):
             run_fleet(spec, "serial", memo_dir="/tmp/nope")
-        with pytest.raises(FleetError, match="vector"):
-            run_fleet(spec, "serial", supply_buckets=8)
 
 
 class TestCheckpointFamilyGate:

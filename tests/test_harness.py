@@ -2,7 +2,13 @@
 
 from repro.core.pipeline import compile_source
 from repro.eval.profiles import EnergyProfile
-from repro.runtime.harness import run_activations, run_continuous, run_once
+from repro.runtime.executor import MachineConfig
+from repro.runtime.harness import (
+    iter_activations,
+    run_activations,
+    run_continuous,
+    run_once,
+)
 from repro.runtime.supply import ContinuousPower
 from repro.sensors.environment import Environment
 
@@ -47,6 +53,22 @@ class TestActivations:
         assert all(r.completed for r in outcome.records)
         # The 5th run logged runs == 5: NV state survived.
         # (checked via the records' structure: each completed without reset)
+
+    def test_incomplete_activation_ends_the_stream(self):
+        # An activation that cannot finish would repeat forever from the
+        # same state; the stream yields its record once and stops.
+        compiled = compile_source(COUNTER_SRC, "ocelot")
+        env = Environment.constant_for(["ch"], 1)
+        records = list(
+            iter_activations(
+                compiled,
+                env,
+                ContinuousPower(),
+                budget_cycles=10**9,
+                config=MachineConfig(max_cycles=10),
+            )
+        )
+        assert [(r.index, r.completed) for r in records] == [(0, False)]
 
     def test_budget_limits_activations(self):
         compiled = compile_source(COUNTER_SRC, "ocelot")
