@@ -6,14 +6,13 @@ lived in per-module report dicts -- pass timings from ``core/passes``,
 ``fleet.vector``, frontier/prune/dedup stats from ``verify.explorer``,
 campaign compile-cache hits -- and serializes them behind one JSON
 schema (``repro-metrics-1``) shared by the ``--metrics-out`` flag on
-the run/fleet/campaign/verify CLIs and by the ``benchmarks/bench_*.py``
-scripts.
+the run/fleet/campaign/verify CLIs.
 
 Design constraints:
 
 * **Zero hot-path cost.**  Nothing in the engines or executors calls
   into the registry per instruction; producers keep their own plain
-  ``int`` counters and the CLI/bench layer *absorbs* them after the
+  ``int`` counters and the CLI layer *absorbs* them after the
   fact via the ``absorb_*`` helpers below.
 * **Deterministic serialization.**  ``to_dict`` sorts every name so
   the JSON is byte-stable for identical measurements.

@@ -13,7 +13,7 @@ Two timelines, one export format (Chrome trace event JSON, loadable in
   and every instrumentation site is a single attribute load + ``is
   None`` test per *activation/batch/job* -- never per instruction --
   so the disabled overhead is unmeasurable by design and gated below
-  2% by ``benchmarks/bench_telemetry.py``.
+  2% by ``tools/check_perf_gates.py``.
 """
 
 from __future__ import annotations

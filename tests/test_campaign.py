@@ -7,10 +7,12 @@ compile cache (zero recompiles).
 """
 
 import json
+from unittest import mock
 
 import pytest
 
-from repro.core.cache import GLOBAL_CACHE
+from repro.core.cache import GLOBAL_CACHE, CompileCache
+from repro.eval import campaign as campaign_module
 from repro.eval.campaign import (
     MODE_INJECTION,
     CampaignError,
@@ -171,6 +173,12 @@ class TestExecution:
         serial_agg = serial_result.aggregate()
         parallel_agg = parallel.aggregate()
         assert serial_agg == parallel_agg
+
+    def test_cold_run_compiles_each_cell_once(self):
+        spec = small_spec()
+        with mock.patch.object(campaign_module, "GLOBAL_CACHE", CompileCache()):
+            cold = run_campaign(spec, SerialExecutor())
+        assert cold.compiles == len(spec.apps) * len(spec.configs)
 
     def test_cached_second_run_zero_recompiles(self, serial_result):
         before = GLOBAL_CACHE.stats.snapshot()

@@ -15,8 +15,10 @@ import json
 
 import pytest
 
+from repro.analysis.staleness import analyze_staleness
 from repro.apps import BENCHMARKS
 from repro.cli import main
+from repro.core.cache import GLOBAL_CACHE
 from repro.core.pipeline import compile_source
 from repro.runtime import observations as obs
 from repro.runtime.engine import ENGINE_FAST, ENGINE_REFERENCE, create_machine
@@ -198,6 +200,46 @@ class TestPruning:
             compiled, env, VerifyBounds(max_failures=2, max_cycles=200_000)
         )
         assert verdict.stats.deduped > 0
+
+    @pytest.mark.parametrize(
+        "app,config,fails",
+        [
+            ("tire", "ocelot", 2),
+            ("tire", "jit", 1),
+            ("tire", "atomics", 2),
+            ("greenhouse", "ocelot", 1),
+            ("cem", "atomics", 1),
+        ],
+    )
+    def test_pruned_and_guided_searches_agree_with_unpruned(
+        self, app, config, fails
+    ):
+        compiled = GLOBAL_CACHE.get_or_compile(BENCHMARKS[app].source, config)
+        env = Environment.constant_for(compiled.module.channels, 0)
+        bounds = VerifyBounds(
+            max_activations=1,
+            max_failures=fails,
+            max_cycles=60_000,
+            max_states=500_000,
+        )
+        report = analyze_staleness(compiled, [("workload", env)])
+        pruned = verify_program(compiled, env, bounds, prune=True)
+        full = verify_program(compiled, env, bounds, prune=False)
+        guided = verify_program(
+            compiled,
+            env,
+            bounds,
+            prune=True,
+            seed_uids=report.doomed_uids(),
+            relevant_bits=report.relevant_bits(),
+        )
+        assert (pruned.kind, pruned.violation) == (full.kind, full.violation)
+        # Seeded sites fire earlier in queue order, so guidance may reach
+        # a different counterexample first: only the verdict kind agrees.
+        assert guided.kind == pruned.kind
+        assert guided.stats.explored <= pruned.stats.explored
+        if config in ("ocelot", "atomics"):
+            assert pruned.stats.explored < full.stats.explored
 
     def test_prune_disabled_under_time_varying_env(self):
         compiled, _ = _build("ocelot")
