@@ -5,7 +5,8 @@ subsystem executes thousands of intermittently-powered devices in one
 simulation:
 
 * :mod:`repro.fleet.spec` -- declarative :class:`FleetSpec` (JSON-loadable,
-  mirroring campaign specs) with generators for heterogeneous populations;
+  mirroring campaign specs) and :class:`FleetDevices`, its lazy
+  per-class view of the device population;
 * :mod:`repro.fleet.device` -- materialization: shared environments and
   cheaply re-seeded per-device supplies, for both executors;
 * :mod:`repro.fleet.aggregate` -- streaming, mergeable, byte-deterministic
@@ -50,7 +51,13 @@ from repro.fleet.report import (
     fleet_table,
     histogram_table,
 )
-from repro.fleet.spec import DeviceClass, DeviceSpec, FleetError, FleetSpec
+from repro.fleet.spec import (
+    DeviceClass,
+    DeviceSpec,
+    FleetDevices,
+    FleetError,
+    FleetSpec,
+)
 
 __all__ = [
     "AGGREGATE_PARITY_SCHEME",
@@ -76,6 +83,7 @@ __all__ = [
     "histogram_table",
     "DeviceClass",
     "DeviceSpec",
+    "FleetDevices",
     "FleetError",
     "FleetSpec",
 ]

@@ -2,12 +2,15 @@
 
 The engine turns a :class:`FleetSpec` into an aggregate:
 
-1. expand the spec into per-device :class:`DeviceSpec` rows (pure data);
+1. view the spec's devices as :class:`~repro.fleet.spec.FleetDevices`,
+   lazy ``(class, index range)`` runs: no per-device row exists until
+   an executor asks for one;
 2. precompile every (app, config) build once into the shared cache;
-3. hand device batches to an executor -- :class:`SerialFleetExecutor`
-   runs each device to exhaustion, one after another, in-process and is
-   the reference; :class:`~repro.fleet.vector.VectorFleetExecutor` runs the
-   memoized cohort engine, in-process or on a fork pool.  Aggregation
+3. hand device batches (slices of the view) to an executor --
+   :class:`SerialFleetExecutor` stamps and runs each device to
+   exhaustion, one after another, in-process and is the reference;
+   :class:`~repro.fleet.vector.VectorFleetExecutor` runs the memoized
+   cohort engine per class, in-process or on a fork pool.  Aggregation
    is commutative integer summation, so both executors produce
    **bit-identical** aggregates;
 4. optionally checkpoint after every chunk of devices, so a
@@ -42,9 +45,11 @@ def run_shard(
 ) -> FleetAggregator:
     """Run one batch of devices to exhaustion; the serial work unit.
 
-    Devices share nothing, so each runs alone, one after another: its
-    environment and spawned supply come from one :class:`DeviceBuilder`,
-    and every activation streams into a fresh aggregator.
+    Devices share nothing, so each runs alone, one after another (a
+    lazy :class:`~repro.fleet.spec.FleetDevices` batch stamps each as it
+    comes): its environment and spawned supply come from one
+    :class:`DeviceBuilder`, and every activation streams into a fresh
+    aggregator.
     """
     builder = DeviceBuilder()
     aggregator = FleetAggregator()
@@ -323,7 +328,7 @@ def run_fleet(
         raise FleetError("checkpoint_every requires a checkpoint path")
 
     started = time.perf_counter()
-    devices = spec.expand()
+    devices = spec.devices()
     aggregate = FleetAggregator()
     start_index = 0
     used: list[str] = []

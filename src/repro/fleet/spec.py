@@ -6,10 +6,16 @@ intermittently-powered devices the way a
 JSON-loadable, picklable, and expandable into per-device work units.  The
 unit of heterogeneity is the :class:`DeviceClass` -- "1000 tire monitors
 built with the ocelot config, NoisyHarvester rates drawn from a seeded
-±50% band, environments phase-shifted per device" is one class entry --
-and :meth:`FleetSpec.expand` stamps it into :class:`DeviceSpec` rows,
-one per physical device, every per-device parameter derived
-deterministically from the fleet's single root seed.
+±50% band, environments phase-shifted per device" is one class entry.
+
+:meth:`FleetSpec.devices` views the fleet as :class:`FleetDevices`, a
+lazy sequence of ``(class, index range)`` runs in expansion order:
+length, indexing and contiguous slices cost O(classes), and a
+:class:`DeviceSpec` is stamped only when one device is asked for, every
+per-device parameter derived deterministically from the fleet's single
+root seed.  A million-device class therefore costs nothing until a
+consumer needs a particular device's own draws; :meth:`FleetSpec.expand`
+materializes the whole list for callers that want it.
 
 Reuses the campaign engine's :class:`EnvironmentSpec` and
 :class:`SupplySpec` axes so the same environment-override grammar and
@@ -20,8 +26,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import random
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 from repro.apps import BENCHMARKS
 from repro.core.passes import BuildConfig, ensure_registered
@@ -95,6 +105,24 @@ class DeviceClass:
             raise FleetError(
                 f"class '{self.name}': env_seed_stride must be >= 0"
             )
+        for limit in ("budget_cycles", "max_activations"):
+            value = getattr(self, limit)
+            if value is not None and value <= 0:
+                # A zero or negative limit runs no activation at all and
+                # would report a "clean" class that never ran.
+                raise FleetError(f"class '{self.name}': {limit} must be positive")
+
+    @property
+    def homogeneous(self) -> bool:
+        """Whether the class has no per-device parameter.
+
+        Devices of a homogeneous class share environment, supply spec
+        and limits; they differ only in their derived seed, so anything
+        that does not read a device's own RNG streams can treat the whole
+        class as one device.
+        """
+        rate_jitter = self.harvest_jitter and self.supply.kind == "harvest"
+        return not (rate_jitter or self.phase_jitter or self.env_seed_stride)
 
     def to_dict(self) -> dict:
         data: dict = {
@@ -160,9 +188,10 @@ class DeviceSpec:
     Everything a worker process needs to materialize and run the device:
     which build to fetch from the compile cache, how to construct its
     environment (seed + overrides + phase), and its supply parameters
-    (already jittered -- the per-device harvest-rate draw happens at
-    expansion time so a spec pickles as plain data and pool workers
-    produce the same device regardless of which process runs it).
+    (already jittered -- the per-device harvest-rate draw happens when
+    the device is stamped, so a spec pickles as plain data and pool
+    workers produce the same device regardless of which process runs
+    it).
     """
 
     device_id: str
@@ -197,6 +226,8 @@ class FleetSpec:
             raise FleetError(f"duplicate device class names: {names}")
         if self.budget_cycles <= 0:
             raise FleetError("budget_cycles must be positive")
+        if self.max_activations <= 0:
+            raise FleetError("max_activations must be positive")
 
     @property
     def device_count(self) -> int:
@@ -232,60 +263,61 @@ class FleetSpec:
             ),
         )
 
+    def devices(self) -> "FleetDevices":
+        """The fleet's devices in expansion order, as a lazy view."""
+        return FleetDevices(self, ((c, range(c.count)) for c in self.classes))
+
+    def device(self, position: int) -> DeviceSpec:
+        """The device at ``position`` in expansion order."""
+        return self.devices()[position]
+
     def expand(self) -> list[DeviceSpec]:
-        """Stamp every class into per-device specs, in class order.
+        """Stamp every class into per-device specs, in class order."""
+        return list(self.devices())
+
+    def _stamp(self, cls: DeviceClass, index: int) -> DeviceSpec:
+        """Device ``index`` of ``cls``.
 
         Per-device randomness (rate jitter, phase) comes from streams
-        derived from ``(fleet_seed, class, index)``, so the expansion is
-        a pure function of the spec: re-running, resuming, and sharding
+        derived from ``(fleet_seed, class, index)``, so a device is a
+        pure function of the spec: re-running, resuming, and sharding
         all see identical devices.
         """
-        devices: list[DeviceSpec] = []
-        for cls in self.classes:
-            budget = (
+        seed = derive_seed(self.fleet_seed, cls.name, index)
+        supply = cls.supply
+        if cls.harvest_jitter and supply.kind == "harvest":
+            rng = random.Random(derive_seed(seed, "rate"))
+            factor = rng.uniform(1.0 - cls.harvest_jitter, 1.0 + cls.harvest_jitter)
+            supply = replace(
+                supply,
+                harvest_rate=max(1, round(supply.harvest_rate * factor)),
+            )
+        phase = 0
+        if cls.phase_jitter:
+            rng = random.Random(derive_seed(seed, "phase"))
+            phase = rng.randrange(cls.phase_jitter)
+        return DeviceSpec(
+            device_id=f"{cls.name}/d{index}",
+            class_name=cls.name,
+            app=cls.app,
+            config=cls.config,
+            index=index,
+            seed=seed,
+            env_seed=cls.environment.env_seed + index * cls.env_seed_stride,
+            env_overrides=cls.environment.overrides,
+            phase=phase,
+            supply=supply,
+            budget_cycles=(
                 cls.budget_cycles
                 if cls.budget_cycles is not None
                 else self.budget_cycles
-            )
-            max_acts = (
+            ),
+            max_activations=(
                 cls.max_activations
                 if cls.max_activations is not None
                 else self.max_activations
-            )
-            for index in range(cls.count):
-                seed = derive_seed(self.fleet_seed, cls.name, index)
-                supply = cls.supply
-                if cls.harvest_jitter and supply.kind == "harvest":
-                    rng = random.Random(derive_seed(seed, "rate"))
-                    factor = rng.uniform(
-                        1.0 - cls.harvest_jitter, 1.0 + cls.harvest_jitter
-                    )
-                    supply = replace(
-                        supply,
-                        harvest_rate=max(1, round(supply.harvest_rate * factor)),
-                    )
-                phase = 0
-                if cls.phase_jitter:
-                    rng = random.Random(derive_seed(seed, "phase"))
-                    phase = rng.randrange(cls.phase_jitter)
-                devices.append(
-                    DeviceSpec(
-                        device_id=f"{cls.name}/d{index}",
-                        class_name=cls.name,
-                        app=cls.app,
-                        config=cls.config,
-                        index=index,
-                        seed=seed,
-                        env_seed=cls.environment.env_seed
-                        + index * cls.env_seed_stride,
-                        env_overrides=cls.environment.overrides,
-                        phase=phase,
-                        supply=supply,
-                        budget_cycles=budget,
-                        max_activations=max_acts,
-                    )
-                )
-        return devices
+            ),
+        )
 
     def fingerprint(self) -> str:
         """Content hash binding checkpoints to the exact fleet they ran.
@@ -344,3 +376,64 @@ class FleetSpec:
         if not isinstance(data, dict):
             raise FleetError("fleet spec must be a JSON object")
         return cls.from_dict(data)
+
+
+class FleetDevices(Sequence[DeviceSpec]):
+    """A lazy view of a fleet's devices: ``(class, index range)`` runs.
+
+    ``len``, integer indexing and contiguous slices cost O(runs); only
+    indexing and iteration stamp :class:`DeviceSpec` rows, one device at
+    a time.  A stepped slice returns a list.  Runs keep the order they
+    are given, so a view can also hold one sub-range of each class (a
+    pool worker's share); empty runs are dropped.
+    """
+
+    __slots__ = ("fleet", "runs", "_ends")
+
+    def __init__(
+        self, fleet: FleetSpec, runs: Iterable[tuple[DeviceClass, range]]
+    ) -> None:
+        self.fleet = fleet
+        self.runs = tuple((cls, r) for cls, r in runs if len(r))
+        self._ends = list(accumulate(len(r) for _, r in self.runs))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, key):  # type: ignore[override]
+        if isinstance(key, slice):
+            start, stop, step = key.indices(len(self))
+            if step != 1:
+                return [self[i] for i in range(start, stop, step)]
+            return FleetDevices(self.fleet, self._cut(start, stop))
+        position = operator.index(key)
+        if position < 0:
+            position += len(self)
+        if not 0 <= position < len(self):
+            raise IndexError("device position out of range")
+        k = bisect_right(self._ends, position)
+        cls, r = self.runs[k]
+        return self.fleet._stamp(cls, r[position - self._ends[k] + len(r)])
+
+    def _cut(self, start: int, stop: int) -> Iterator[tuple[DeviceClass, range]]:
+        lo = 0
+        for cls, r in self.runs:
+            hi = lo + len(r)
+            if start < hi and lo < stop:
+                yield cls, r[max(start, lo) - lo : min(stop, hi) - lo]
+            lo = hi
+
+    def __iter__(self) -> Iterator[DeviceSpec]:
+        stamp = self.fleet._stamp
+        for cls, r in self.runs:
+            for index in r:
+                yield stamp(cls, index)
+
+    def class_runs(self) -> list["FleetDevices"]:
+        """One single-run view per run, in order."""
+        return [FleetDevices(self.fleet, (run,)) for run in self.runs]
+
+    @property
+    def homogeneous(self) -> bool:
+        """Whether the view is one run of a homogeneous class."""
+        return len(self.runs) == 1 and self.runs[0][0].homogeneous

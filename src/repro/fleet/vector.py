@@ -39,15 +39,19 @@ Surbatovich et al.).  This executor exploits that in five layers:
 
 * **Cohort wave batching** (:class:`_Cohort`).  Devices in provably
   identical situations -- same tokens, same logical time -- live in one
-  cohort carrying a single shared state plus (for quantized cohorts) a
-  per-member charge-level list.  Waves iterate cohorts, not
-  devices: a homogeneous million-device fleet is *one* cohort, and each
-  wave costs one memo probe and one aggregate fold, independent of
+  cohort carrying a single shared state plus either a member count
+  (exact-token cohorts) or per-member charge levels (quantized
+  cohorts).  Waves iterate cohorts, not devices: a homogeneous
+  million-device class is *one* cohort, formed from its first device
+  alone without stamping the others
+  (:attr:`~repro.fleet.spec.DeviceClass.homogeneous`), and each wave
+  costs one memo probe and one aggregate fold, independent of
   population.  Cohorts split when replayed charge levels straddle a
   bucket boundary and merge when states reconverge.
 
 * **Worker pool** (``processes``).  With more than one process, ``run``
-  deals devices round-robin into shares; this process runs one and
+  cuts every class into one contiguous sub-range per share, sizes
+  differing by at most one device; this process runs one share and
   forked workers run the rest, each with the in-process cohort engine
   over a copy of the warm memo.  Aggregates merge by integer sums;
   workers ship back the memo entries they created, and the parent
@@ -95,7 +99,7 @@ from repro.energy.segments import (
 from repro.fleet.aggregate import FleetAggregator
 from repro.fleet.device import DeviceBuilder
 from repro.fleet.memostore import MEMO_SCHEMA, MemoStore
-from repro.fleet.spec import DeviceSpec, FleetError
+from repro.fleet.spec import DeviceSpec, FleetDevices, FleetError
 from repro.runtime.engine import ENGINE_FAST, create_machine
 from repro.runtime.executor import NVState
 from repro.runtime.detector import BitVector
@@ -381,15 +385,16 @@ class _Cohort:
     and a stuck activation drops the whole cohort.  Two kinds:
 
     * ``uni`` -- exact supply-token equivalence (deterministic
-      supplies): one shared capture, one representative executes.
+      supplies): one shared capture; members are a count, and one
+      representative device (``spec``) executes for all of them.
     * ``quant`` -- bucketed equivalence (stochastic energy-driven
-      supplies): members share the charge *bucket* but keep individual
-      levels (a list) and lazily-materialized supply objects.
+      supplies): members (``positions`` in the class batch) share the
+      charge *bucket* but keep individual levels (a list) and
+      lazily-materialized supply objects.
     """
 
     __slots__ = (
         "kind",
-        "positions",
         "tau",
         "index",
         "budget",
@@ -399,9 +404,12 @@ class _Cohort:
         "period",
         "nv_ref",
         # uni
+        "members",
+        "spec",
         "stoken",
         "capture",
         # quant
+        "positions",
         "static",
         "bucket_size",
         "bucket",
@@ -409,9 +417,8 @@ class _Cohort:
         "supplies",
     )
 
-    def __init__(self, kind, positions, budget, cap, env_key, env, period, nv_ref):
+    def __init__(self, kind, budget, cap, env_key, env, period, nv_ref):
         self.kind = kind
-        self.positions = positions
         self.tau = 0
         self.index = 0
         self.budget = budget
@@ -420,8 +427,11 @@ class _Cohort:
         self.env = env
         self.period = period
         self.nv_ref = nv_ref
+        self.members = 0
+        self.spec = None
         self.stoken = None
         self.capture = _FRESH
+        self.positions = None
         self.static = None
         self.bucket_size = 0
         self.bucket = 0
@@ -441,7 +451,6 @@ class _Cohort:
         """An empty quant cohort of this one's class, at ``bucket``."""
         nxt = _Cohort(
             "quant",
-            [],
             self.budget,
             self.cap,
             self.env_key,
@@ -454,6 +463,7 @@ class _Cohort:
         nxt.static = self.static
         nxt.bucket_size = self.bucket_size
         nxt.bucket = bucket
+        nxt.positions = []
         nxt.levels = []
         nxt.supplies = []
         return nxt
@@ -588,37 +598,33 @@ class VectorFleetExecutor:
 
     def _run_local(self, devices: Sequence[DeviceSpec]) -> FleetAggregator:
         aggregator = FleetAggregator()
-        batches: dict[str, list[DeviceSpec]] = {}
-        for spec in devices:
-            batches.setdefault(spec.class_name, []).append(spec)
-        for specs in batches.values():
-            aggregator.add_devices(specs[0], len(specs))
-            self._run_batch(specs, aggregator)
+        for batch in _class_batches(devices):
+            self._run_batch(batch, aggregator)
         return aggregator
 
     def _run_pool(
         self, devices: Sequence[DeviceSpec], workers: int
     ) -> FleetAggregator:
-        """Deal devices round-robin to ``workers`` shares; merge the results.
+        """Deal ``workers`` shares (see :func:`_deal`); merge the results.
 
-        Round-robin over the expansion order balances heterogeneous
-        classes across shares without any coordination.  Every memo
-        store shard the batch needs is loaded first, so forked workers
-        inherit the warm memo and never open the store themselves.  This
-        process runs the first share, so its own entries need no
-        shipping, while ``workers - 1`` forked workers run one share
-        each.  Every share starts from the memo as it is now: the pool
-        forks before this process runs its share, and a barrier keeps a
-        worker from taking a second share after finishing its first.
+        Every memo store shard the batch needs is loaded first, so
+        forked workers inherit the warm memo and never open the store
+        themselves.  This process runs the first share, so its own
+        entries need no shipping, while ``workers - 1`` forked workers
+        run one share each.  Every share starts from the memo as it is
+        now: the pool forks before this process runs its share, and a
+        barrier keeps a worker from taking a second share after
+        finishing its first.
         """
-        programs = {(spec.app, spec.config) for spec in devices}
+        batches = _class_batches(devices)
+        programs = {(batch[0].app, batch[0].config) for batch in batches}
         for app, config in sorted(programs):
             self._load_shard((app, config, self.engine), BENCHMARKS[app])
         configs = tuple(
             get_config(name) for name in sorted({c for _, c in programs})
         )
         worker = VectorFleetExecutor(engine=self.engine, memo=self.memo)
-        shares = [tuple(devices[i::workers]) for i in range(workers)]
+        shares = _deal(batches, workers)
         ctx = _pool_context()
         with ctx.Pool(
             processes=workers - 1,
@@ -652,9 +658,10 @@ class VectorFleetExecutor:
         self.memo.stats.evictions += stats.evictions
 
     def _run_batch(
-        self, specs: list[DeviceSpec], aggregator: FleetAggregator
+        self, specs: Sequence[DeviceSpec], aggregator: FleetAggregator
     ) -> None:
         first = specs[0]
+        aggregator.add_devices(first, len(specs))
         meta = BENCHMARKS[first.app]
         compiled = GLOBAL_CACHE.get_or_compile(meta.source, first.config)
         costs = meta.cost_model()
@@ -664,7 +671,7 @@ class VectorFleetExecutor:
         self._load_shard(prog_key, meta)
         driver = _MissBatch(compiled, costs, plan, self.engine, codec)
 
-        cohorts = self._initial_cohorts(specs, init_ref)
+        cohorts = self._initial_cohorts(specs, first, init_ref)
         sink: dict = {}
         while True:
             live = [c for c in cohorts if c.alive()]
@@ -701,7 +708,7 @@ class VectorFleetExecutor:
             for gkey, cs in groups.items():
                 if gkey[0] == "u":
                     next_cohorts.extend(
-                        self._wave_uni(cs, prog_key, specs, driver, sink)
+                        self._wave_uni(cs, prog_key, driver, sink)
                     )
                 else:
                     next_cohorts.extend(
@@ -713,75 +720,95 @@ class VectorFleetExecutor:
     # -- cohort formation ----------------------------------------------------
 
     def _initial_cohorts(
-        self, specs: list[DeviceSpec], init_ref: NVRef
+        self, specs: Sequence[DeviceSpec], first: DeviceSpec, init_ref: NVRef
     ) -> list[_Cohort]:
-        cohorts: dict = {}
-        order: list[_Cohort] = []
-        devices = self.devices
-        for pos, spec in enumerate(specs):
-            env_key, env, period = devices.env(spec)
-            if self._quantized(spec.supply):
-                static, full = _memo_token(
-                    supply_quantum(devices.prototype(spec)), spec
-                )
-                ckey = (
-                    "q",
-                    env_key,
-                    spec.budget_cycles,
-                    spec.max_activations,
-                    static,
-                )
+        """Group one class batch into cohorts of identical situations.
+
+        A homogeneous class run is one cohort by construction, formed
+        from its first device without stamping the rest; any other batch
+        is grouped device by device, since each device's own draws
+        (rate, phase, environment seed) decide its cohort.
+        """
+        if isinstance(specs, FleetDevices) and specs.homogeneous:
+            ckey, full = self._cohort_key(first)
+            cohort = self._new_cohort(first, ckey, full, init_ref)
+            n = len(specs)
+            if cohort.kind == "quant":
+                cohort.positions = range(n)
+                cohort.levels = [full] * n
+                cohort.supplies = [None] * n
             else:
-                ckey = (
-                    "u",
-                    env_key,
-                    spec.budget_cycles,
-                    spec.max_activations,
-                    spec.supply,
-                )
+                cohort.members = n
+            return [cohort]
+        cohorts: dict = {}
+        for pos, spec in enumerate(specs):
+            ckey, full = self._cohort_key(spec)
             cohort = cohorts.get(ckey)
             if cohort is None:
-                cohort = _Cohort(
-                    "quant" if ckey[0] == "q" else "uni",
-                    [],
-                    spec.budget_cycles,
-                    spec.max_activations,
-                    env_key,
-                    env,
-                    period,
-                    init_ref,
+                cohort = cohorts[ckey] = self._new_cohort(
+                    spec, ckey, full, init_ref
                 )
-                if cohort.kind == "quant":
-                    # A fresh supply is fully charged: ``full`` is every
-                    # member's starting level and the span the buckets
-                    # divide.
-                    cohort.static = static
-                    cohort.bucket_size = max(1, full // SUPPLY_BUCKETS)
-                    cohort.bucket = full // cohort.bucket_size
-                    cohort.levels = []
-                    cohort.supplies = []
-                else:
-                    # Spawn-equivalence: one member's token is everyone's.
-                    cohort.stoken = _memo_token(
-                        supply_memo_token(devices.supply(spec)), spec
-                    )
-                cohorts[ckey] = cohort
-                order.append(cohort)
-            cohort.positions.append(pos)
             if cohort.kind == "quant":
+                cohort.positions.append(pos)
                 cohort.levels.append(full)
                 cohort.supplies.append(None)
-        return order
+            else:
+                cohort.members += 1
+        return list(cohorts.values())
+
+    def _cohort_key(self, spec: DeviceSpec):
+        """``spec``'s initial cohort key, and its full charge level when
+        its supply quantizes (``None`` otherwise)."""
+        env_key = self.devices.env(spec).key
+        if self._quantized(spec.supply):
+            static, full = _memo_token(
+                supply_quantum(self.devices.prototype(spec)), spec
+            )
+            limits = (spec.budget_cycles, spec.max_activations)
+            return ("q", env_key, *limits, static), full
+        return (
+            ("u", env_key, spec.budget_cycles, spec.max_activations, spec.supply),
+            None,
+        )
+
+    def _new_cohort(self, spec: DeviceSpec, ckey, full, init_ref) -> _Cohort:
+        """An empty fresh cohort for devices in ``spec``'s situation."""
+        env_key, env, period = self.devices.env(spec)
+        cohort = _Cohort(
+            "quant" if ckey[0] == "q" else "uni",
+            spec.budget_cycles,
+            spec.max_activations,
+            env_key,
+            env,
+            period,
+            init_ref,
+        )
+        if cohort.kind == "quant":
+            # A fresh supply is fully charged: ``full`` is every
+            # member's starting level and the span the buckets divide.
+            cohort.static = ckey[-1]
+            cohort.bucket_size = max(1, full // SUPPLY_BUCKETS)
+            cohort.bucket = full // cohort.bucket_size
+            cohort.positions = []
+            cohort.levels = []
+            cohort.supplies = []
+        else:
+            # Spawn-equivalence: one member's token is everyone's.
+            cohort.spec = spec
+            cohort.stoken = _memo_token(
+                supply_memo_token(self.devices.supply(spec)), spec
+            )
+        return cohort
 
     # -- wave processing -----------------------------------------------------
 
-    def _wave_uni(self, cs, prog_key, specs, driver, sink):
+    def _wave_uni(self, cs, prog_key, driver, sink):
         rep = cs[0]
-        members = sum(len(c.positions) for c in cs)
+        members = sum(c.members for c in cs)
         mkey = (prog_key, rep.env_key, rep.time_token(), rep.nv_ref.token, rep.stoken)
         entry = self.memo.get(mkey)
         if entry is None:
-            spec = specs[rep.positions[0]]
+            spec = rep.spec
             supply = self.devices.supply(spec)
             if rep.capture is not _FRESH:
                 restore_supply_state(supply, rep.capture)
@@ -804,10 +831,7 @@ class VectorFleetExecutor:
         _sink(sink, entry.record, members)
         if not entry.record.completed:
             return []  # every member is stuck; records already folded
-        if len(cs) > 1:
-            positions = rep.positions
-            for c in cs[1:]:
-                positions.extend(c.positions)
+        rep.members = members
         rep.tau += entry.tau_delta
         rep.index += 1
         rep.nv_ref = entry.post_nv
@@ -985,6 +1009,51 @@ def _sink(sink: dict, record, count: int) -> None:
         slot[1] += count
 
 
+def _class_batches(devices: Sequence[DeviceSpec]) -> list[Sequence[DeviceSpec]]:
+    """``devices`` cut into per-class batches.
+
+    A lazy :class:`FleetDevices` view yields one batch per run; a plain
+    device list is grouped by class name, in first-seen order.
+    """
+    if isinstance(devices, FleetDevices):
+        return devices.class_runs()
+    batches: dict[str, list[DeviceSpec]] = {}
+    for spec in devices:
+        batches.setdefault(spec.class_name, []).append(spec)
+    return list(batches.values())
+
+
+def _deal(
+    batches: list[Sequence[DeviceSpec]], workers: int
+) -> list[Sequence[DeviceSpec]]:
+    """Cut every class batch into ``workers`` contiguous shares.
+
+    A class's shares differ in size by at most one device.  The shares
+    that take a class's remainder rotate from class to class, so share
+    totals also differ by at most one.  Shares of lazy views stay lazy
+    (one run per class); shares of device lists are lists.
+    """
+    pieces: list[list[Sequence[DeviceSpec]]] = [[] for _ in range(workers)]
+    turn = 0
+    for batch in batches:
+        base, extra = divmod(len(batch), workers)
+        lo = 0
+        for j in range(workers):
+            hi = lo + base + (j < extra)
+            if hi > lo:
+                pieces[(turn + j) % workers].append(batch[lo:hi])
+            lo = hi
+        turn = (turn + extra) % workers
+    shares: list[Sequence[DeviceSpec]] = []
+    for share in pieces:
+        if share and isinstance(share[0], FleetDevices):
+            runs = [run for view in share for run in view.runs]
+            shares.append(FleetDevices(share[0].fleet, runs))
+        else:
+            shares.append([spec for part in share for spec in part])
+    return shares
+
+
 #: The executor a pool worker runs its share on, and the barrier every
 #: worker passes once it holds a share (both set by ``_init_worker``).
 _WORKER: Optional[VectorFleetExecutor] = None
@@ -1037,7 +1106,7 @@ def _loads_untracked(blob: bytes):
             gc.enable()
 
 
-def _run_share(devices: tuple[DeviceSpec, ...]):
+def _run_share(devices: Sequence[DeviceSpec]):
     """Worker entry point: run one share in-process.
 
     Returns the aggregate as primitives, the pickled (key, entry) pairs

@@ -313,3 +313,62 @@ def fleet_specs(draw):
         max_activations=draw(st.sampled_from([100_000, 5])),
         name="prop-fleet",
     )
+
+
+@st.composite
+def homogeneous_classes(draw, name: str):
+    """One device class with no per-device parameter.
+
+    Covers all three supply shapes a homogeneous class can have: a
+    stochastic harvest supply (quantized cohorts), a deterministic rf
+    supply (no harvest spread, degenerate boot band: exact-token
+    cohorts on a harvest supply), and continuous power, which may
+    carry a harvest jitter that only harvest supplies read.
+    """
+    from repro.eval.campaign import EnvironmentSpec, SupplySpec
+    from repro.fleet.spec import DeviceClass
+
+    kind = draw(st.sampled_from(["harvest", "rf-deterministic", "continuous"]))
+    jitter = 0.0
+    if kind == "harvest":
+        supply = SupplySpec(
+            harvest_rate=draw(st.integers(150, 600)),
+            seed_offset=draw(st.integers(0, 50)),
+        )
+    elif kind == "rf-deterministic":
+        supply = SupplySpec(
+            name="rf",
+            harvest_rate=draw(st.integers(150, 600)),
+            harvest_spread=1.0,
+            boot_fraction=(1.0, 1.0),
+        )
+    else:
+        supply = SupplySpec.continuous()
+        jitter = draw(st.sampled_from([0.0, 0.5]))
+    return DeviceClass(
+        name=name,
+        app=draw(st.sampled_from(FLEET_APPS)),
+        config=draw(st.sampled_from(FLEET_CONFIGS)),
+        count=draw(st.integers(1, 6)),
+        environment=EnvironmentSpec(env_seed=draw(st.integers(0, 20))),
+        supply=supply,
+        harvest_jitter=jitter,
+    )
+
+
+@st.composite
+def homogeneous_fleet_specs(draw):
+    """A small random fleet whose every class is homogeneous."""
+    from repro.fleet.spec import FleetSpec
+
+    classes = tuple(
+        draw(homogeneous_classes(name=f"cls{idx}"))
+        for idx in range(draw(st.integers(1, 3)))
+    )
+    return FleetSpec(
+        classes=classes,
+        fleet_seed=draw(st.integers(0, 2**32)),
+        budget_cycles=draw(st.integers(4_000, 12_000)),
+        max_activations=draw(st.sampled_from([100_000, 5])),
+        name="prop-homogeneous-fleet",
+    )
